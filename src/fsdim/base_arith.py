@@ -14,7 +14,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -22,10 +22,12 @@ __all__ = [
     "CylinderInterval",
     "DigitWord",
     "as_unit",
+    "atomic_write_text",
     "digit_at",
     "digits_prefix",
     "frac_of_scaled",
     "in_cylinder",
+    "orbit_residues",
     "read_digit_file",
     "value_of_word",
     "write_digit_file",
@@ -118,7 +120,9 @@ def digits_prefix(x: Rational, base: int, n: int) -> DigitWord:
         raise ValueError(f"prefix length must be nonnegative, got {n}")
     num, den = f.numerator, f.denominator
     if n >= 4096 and den < (1 << 31) and base < (1 << 31):
-        return DigitWord(base, tuple(_digits_prefix_fast(num, den, base, n)))
+        # digit i is floor(base * r_i / den) for the residues r_i below
+        chunks = [r * base // den for r in orbit_residues(num, den, base, n)]
+        return DigitWord(base, tuple(np.concatenate(chunks).tolist()))
     digits = []
     r = num
     for _ in range(n):
@@ -128,22 +132,29 @@ def digits_prefix(x: Rational, base: int, n: int) -> DigitWord:
     return DigitWord(base, tuple(digits))
 
 
-def _digits_prefix_fast(num: int, den: int, base: int, n: int) -> list[int]:
-    # Vectorized long division: remainders r_i = num * base^(i-1) mod den are
-    # computed per chunk from one running remainder; den^2 must fit in int64.
-    chunk = 4096
-    pow_vec = np.array([pow(base, j, den) for j in range(chunk)], dtype=np.int64)
-    out = np.empty(n, dtype=np.int64)
+RESIDUE_CHUNK = 1 << 14
+
+
+def orbit_residues(num: int, den: int, base: int, n: int) -> Iterator[np.ndarray]:
+    """Yield r_j = num * base**(j-1) mod den for j = 1..n as int64 chunks.
+
+    Each chunk of RESIDUE_CHUNK residues is one running remainder times a
+    table of base powers mod den, so den must stay below 2**31 for the
+    products to fit in int64.
+    """
+    if not 0 < den < (1 << 31):
+        raise ValueError(f"denominator {den} outside the int64 residue range")
+    chunk = min(RESIDUE_CHUNK, max(n, 1))
+    powers = np.empty(chunk, dtype=np.int64)
+    acc = 1
+    for i in range(chunk):
+        powers[i] = acc
+        acc = (acc * base) % den
     step = pow(base, chunk, den)
-    r = num % den
-    i = 0
-    while i < n:
-        c = min(chunk, n - i)
-        rems = (r * pow_vec[:c]) % den
-        out[i : i + c] = (rems * base) // den
-        r = (r * step) % den
-        i += c
-    return out.tolist()
+    start = num % den
+    for done in range(0, n, chunk):
+        yield (start * powers[: min(chunk, n - done)]) % den
+        start = (start * step) % den
 
 
 @dataclass(frozen=True)
@@ -191,13 +202,21 @@ def write_digit_file(path: Union[str, os.PathLike], word: DigitWord) -> None:
     toks = [str(d) for d in word.digits]
     for i in range(0, len(toks), _TOKENS_PER_LINE):
         lines.append(" ".join(toks[i : i + _TOKENS_PER_LINE]))
-    payload = "\n".join(lines) + "\n"
-    # Atomic replace: readers never observe a half-written file.
-    directory = os.path.dirname(os.fspath(path)) or "."
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def atomic_write_text(path: Union[str, os.PathLike], text: str) -> None:
+    """Replace path's contents with text; readers never see a half-written file.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces path in one rename; on any failure the temporary file is
+    removed and path keeps its old contents.  Newlines are written as given.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -169,19 +169,20 @@ class BlockCounter:
 
     def distribution(self, l: int) -> BlockDistribution:
         self._check_len(l)
-        base, counts = self.base, {}
-        for packed, c in self._counts[l].items():
-            digits = []
-            k = packed
-            for _ in range(l):
-                k, d = divmod(k, base)
-                digits.append(d)
-            counts[tuple(reversed(digits))] = c
-        return BlockDistribution(base, l, counts, self.window_total(l))
+        counts = {_unpack_key(k, self.base, l): c for k, c in self._counts[l].items()}
+        return BlockDistribution(self.base, l, counts, self.window_total(l))
 
     def _check_len(self, l: int) -> None:
         if not 1 <= l <= self.l_max:
             raise ValueError(f"block length {l} outside tracked range 1..{self.l_max}")
+
+
+def _unpack_key(packed: int, base: int, l: int) -> tuple[int, ...]:
+    # inverse of the base-``base`` packing: the most significant digit comes first
+    digits = [0] * l
+    for i in range(l - 1, -1, -1):
+        packed, digits[i] = divmod(packed, base)
+    return tuple(digits)
 
 
 def _packed_key_array(digits: np.ndarray, base: int, l: int) -> np.ndarray:
@@ -199,14 +200,7 @@ def block_counts(w: DigitWord, l: int, limit: int = BLOCK_SPACE_LIMIT) -> BlockD
     base = w.base
     arr = np.asarray(w.digits, dtype=np.int64)
     keys, counts = np.unique(_packed_key_array(arr, base, l), return_counts=True)
-    mapping = {}
-    for packed, c in zip(keys.tolist(), counts.tolist()):
-        digits = []
-        k = packed
-        for _ in range(l):
-            k, d = divmod(k, base)
-            digits.append(d)
-        mapping[tuple(reversed(digits))] = c
+    mapping = {_unpack_key(k, base, l): c for k, c in zip(keys.tolist(), counts.tolist())}
     return BlockDistribution(base, l, mapping, len(w) - l + 1)
 
 

@@ -16,11 +16,13 @@ import math
 import os
 import random
 import sys
-import tempfile
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .base_arith import DigitWord, read_digit_file, write_digit_file
+import numpy as np
+
+from .base_arith import DigitWord, orbit_residues, read_digit_file, write_digit_file
+from .base_arith import atomic_write_text as _atomic_text
 from .blockstats import dimension_estimate, entropy_profile
 from .constructor import (
     ConstructionParams,
@@ -60,19 +62,6 @@ def _fail(message: str, code: int) -> int:
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
-
-
-def _atomic_text(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +132,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
         params = ConstructionParams(
             tolerance=args.tolerance,
             transition_l=args.transition_l,
-            transition_l2=args.transition_l,
             transition_margin=args.margin,
             weyl_gamma=args.weyl_gamma,
-            min_first_digits=args.min_digits,
-            min_second_digits=args.min_digits,
+            min_digits=args.min_digits,
             step_budget=args.budget,
             t_cap=args.t_cap,
         )
@@ -309,13 +296,11 @@ def _two_is_primitive_root(prime: int) -> bool:
 
 
 def _orbit_digit_counts(num: int, den: int, base: int, n: int) -> list[int]:
-    counts = [0] * base
-    r = num % den
-    for _ in range(n):
-        r *= base
-        counts[r // den] += 1
-        r %= den
-    return counts
+    # digit j of num/den is floor(base * r_j / den) for the orbit residues r_j
+    counts = np.zeros(base, dtype=np.int64)
+    for residues in orbit_residues(num, den, base, n):
+        counts += np.bincount(residues * base // den, minlength=base)
+    return counts.tolist()
 
 
 _SUITES = ("viete", "sin-bound", "am-oracle", "discrepancy-oracle", "weyl-certificate")

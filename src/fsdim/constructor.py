@@ -18,26 +18,28 @@ evaluated on the final point, whose digit prefixes are exact.
 Thresholds: the asymptotic analysis uses 2^-k style tolerances and
 nonconstructive transition constants.  Desk runs replace the former
 with ConstructionParams.tolerance (set it to None for the literal
-2^-k values) and the latter with the transition_l knobs.
+2^-k values) and the latter with ConstructionParams.transition_l, one
+constant for both substage close-outs.  Entropies are read for block
+lengths up to min(k, L_CAP) and the in-run Weyl check covers
+frequencies 1..WEYL_T_RANGE.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-import os
 import random
-import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .base_arith import DigitWord, Rational, as_unit, digits_prefix
+from .base_arith import DigitWord, Rational, as_unit, atomic_write_text, digits_prefix
 from .blockstats import BlockCounter
 from .discrepancy import (
     DiscrepancyParams,
@@ -56,6 +58,8 @@ from .schedule import (
 )
 
 __all__ = [
+    "L_CAP",
+    "WEYL_T_RANGE",
     "ConditionVerdict",
     "ConstructionParams",
     "ConstructionTrace",
@@ -363,6 +367,12 @@ def select_step(
 # run parameters and substage close-out predicates
 
 
+# Longest block length whose entropy the close-outs and monitors read.
+L_CAP = 4
+# The in-run Weyl check covers frequencies 1 <= t <= WEYL_T_RANGE.
+WEYL_T_RANGE = 8
+
+
 @dataclass(frozen=True)
 class ConstructionParams:
     """Desk-scale knobs for a construction run.
@@ -370,42 +380,33 @@ class ConstructionParams:
     tolerance replaces every 2^-k style entropy threshold when set;
     None keeps the literal values (they are vacuous for small k and
     unattainably tight for large k, hence the override).  transition_l
-    and transition_l2 stand in for the nonconstructive block-length
-    constants of the substage close-out inequalities.  min_*_digits
-    force a substage to keep going until it has fixed that many digits,
-    which is how runs are sized; step_budget bounds each substage, and
-    exhausting it marks the trace incomplete instead of raising.  t_cap
-    truncates the objective's frequency range (exact runs use every
-    |t| <= m, which gets expensive in long multi-base runs).
-    transition_margin floors the entropy-perturbation margin in the
-    block-length inequality; the exact margins shrink exponentially in
-    the stage index (the third stage already demands blocks of ~10^4
-    digits), so multi-stage runs at desk scale need a floor.  0 keeps
-    the exact margins.
+    stands in for the nonconstructive block-length constants of both
+    substage close-out inequalities.  min_digits forces each substage
+    to keep going until it has fixed that many digits, which is how
+    runs are sized; step_budget bounds each substage, and exhausting it
+    marks the trace incomplete instead of raising.  t_cap truncates the
+    objective's frequency range (exact runs use every |t| <= m, which
+    gets expensive in long multi-base runs).  transition_margin floors
+    the entropy-perturbation margin in the block-length inequality; the
+    exact margins shrink exponentially in the stage index (the third
+    stage already demands blocks of ~10^4 digits), so multi-stage runs
+    at desk scale need a floor.  0 keeps the exact margins.  weyl_gamma
+    is the Weyl-average threshold (checked against weyl_gamma/2), and
+    disc holds the filter constants of every base the run reaches.
     """
 
-    l_cap: int = 4
     tolerance: Optional[float] = 0.1
     transition_l: float = 4.0
-    transition_l2: float = 4.0
     transition_margin: float = 0.0
-    m_floor: int = 0
-    t_floor: int = 0
-    weyl_t_range: int = 8
     weyl_gamma: float = 0.05
-    min_first_digits: int = 0
-    min_second_digits: int = 0
+    min_digits: int = 0
     step_budget: int = 4096
     t_cap: Optional[int] = None
     disc: DiscrepancyParams = field(default_factory=DiscrepancyParams.default)
 
     def __post_init__(self) -> None:
-        if self.l_cap < 1:
-            raise ValueError(f"l_cap must be positive, got {self.l_cap}")
         if self.tolerance is not None and not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive or None, got {self.tolerance}")
-        if self.weyl_t_range < 1:
-            raise ValueError(f"weyl_t_range must be positive, got {self.weyl_t_range}")
         if not self.weyl_gamma > 0:
             raise ValueError(f"weyl_gamma must be positive, got {self.weyl_gamma}")
         if self.step_budget < 1:
@@ -415,9 +416,8 @@ class ConstructionParams:
         if self.transition_margin < 0:
             raise ValueError(
                 f"transition_margin must be nonnegative, got {self.transition_margin}")
-        for name in ("m_floor", "t_floor", "min_first_digits", "min_second_digits"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        if self.min_digits < 0:
+            raise ValueError(f"min_digits must be nonnegative, got {self.min_digits}")
 
     def entropy_tolerance(self, fallback: float) -> float:
         return self.tolerance if self.tolerance is not None else fallback
@@ -475,12 +475,39 @@ def weyl_max_from_digits(digits: Sequence[int], base: int, t_range: int) -> floa
     return best
 
 
-def _entropy_deviation(counter: BlockCounter, l_hi: int, target: float) -> float:
-    dev = 0.0
-    for l in range(1, l_hi + 1):
-        if counter.n < l:
+def _prefix_deviation(
+    counter: BlockCounter,
+    l_hi: int,
+    target: float,
+    digits: Optional[Sequence[int]] = None,
+    n_from: int = 0,
+    shortfall: bool = False,
+) -> float:
+    """Extremal deviation of the entropies H_1..H_l_hi from target.
+
+    Without digits the counter is read at its current prefix.  With
+    digits, they are pushed one at a time and every prefix of length
+    n_from or more is read; the largest deviation over those wins.
+    shortfall=True measures only dips below the target (one-sided, so
+    it can come out negative), otherwise the absolute deviation.  A
+    prefix shorter than l_hi reads as infinite.
+    """
+
+    def read() -> float:
+        if counter.n < l_hi:
             return math.inf
-        dev = max(dev, abs(counter.entropy(l) - target))
+        hs = [counter.entropy(l) for l in range(1, l_hi + 1)]
+        return max(target - h if shortfall else abs(h - target) for h in hs)
+
+    if digits is None:
+        return read()
+    dev = -math.inf
+    for d in digits:
+        counter.push(d)
+        if counter.n >= n_from:
+            dev = max(dev, read())
+    if dev == -math.inf:
+        raise ValueError(f"prefixes {n_from}..{counter.n} hold no reading")
     return dev
 
 
@@ -491,6 +518,47 @@ def _next_stage_base(plan: StagePlan, k: int) -> Optional[int]:
         return plan.v_of(k + 1)
     except (KeyError, ValueError):
         return None
+
+
+def _close_out(
+    k: int, m: int, substage: int, conditions: Iterator[ConditionVerdict]
+) -> SubstageCheck:
+    # conditions come cheapest first; the generator stops being advanced
+    # at the first failure, so nothing after it is computed
+    verdicts = []
+    for verdict in conditions:
+        verdicts.append(verdict)
+        if not verdict.passed:
+            break
+    return SubstageCheck(
+        k=k, m=m, substage=substage, done=all(v.passed for v in verdicts),
+        verdicts=tuple(verdicts),
+    )
+
+
+def _transition_gates(
+    k: int,
+    m: int,
+    sched: Schedule,
+    params: ConstructionParams,
+    digits_fixed: int,
+    margins: Sequence[float],
+    detail: str = "",
+) -> Iterator[ConditionVerdict]:
+    # the two cheap gates both close-outs open with
+    yield ConditionVerdict(
+        name="digit-floor",
+        passed=digits_fixed >= params.min_digits,
+        measured=float(digits_fixed),
+        threshold=float(params.min_digits),
+    )
+    margin = max(min(margins) / 2.0, params.transition_margin)
+    need = (params.transition_l + 2.0 * k) / margin + k
+    width = sched.b(m) - sched.a(m)
+    yield ConditionVerdict(
+        name="block-length", passed=width >= need, measured=float(width),
+        threshold=need, detail=detail,
+    )
 
 
 def first_substage_done(
@@ -508,45 +576,21 @@ def first_substage_done(
     prefix length is the checkpoint the entropies are read at.
     """
     v = sched.base(m)
-    l_hi = min(k, params.l_cap)
+    l_hi = min(k, L_CAP)
     eps = 2.0**-k
-    verdicts = []
 
-    verdicts.append(
-        ConditionVerdict(
-            name="digit-floor",
-            passed=digits_fixed >= params.min_first_digits,
-            measured=float(digits_fixed),
-            threshold=float(params.min_first_digits),
-        )
-    )
-    if verdicts[-1].passed:
-        margin = max(min(delta_k(eps, v, l_hi), eps) / 2.0, params.transition_margin)
-        need = (params.transition_l + 2.0 * k) / margin + k
-        verdicts.append(
-            ConditionVerdict(
-                name="block-length",
-                passed=sched.b(m) - sched.a(m) >= need,
-                measured=float(sched.b(m) - sched.a(m)),
-                threshold=need,
-            )
-        )
-    if verdicts[-1].passed:
+    def conditions() -> Iterator[ConditionVerdict]:
+        yield from _transition_gates(
+            k, m, sched, params, digits_fixed, (delta_k(eps, v, l_hi), eps))
         tol = params.entropy_tolerance(eps)
         target = float(plan.q_for(v))
-        dev = _entropy_deviation(counter, l_hi, target)
-        verdicts.append(
-            ConditionVerdict(
-                name="entropy-at-target",
-                passed=dev <= tol,
-                measured=dev,
-                threshold=tol,
-                detail=f"target {target:.6g} at prefix {counter.n}",
-            )
+        dev = _prefix_deviation(counter, l_hi, target)
+        yield ConditionVerdict(
+            name="entropy-at-target", passed=dev <= tol, measured=dev, threshold=tol,
+            detail=f"target {target:.6g} at prefix {counter.n}",
         )
-    return SubstageCheck(
-        k=k, m=m, substage=1, done=all(v.passed for v in verdicts), verdicts=tuple(verdicts)
-    )
+
+    return _close_out(k, m, 1, conditions())
 
 
 def second_substage_done(
@@ -571,143 +615,70 @@ def second_substage_done(
     the plan does not cover stage k+1.
     """
     v = sched.base(m)
-    l_hi = min(k, params.l_cap)
+    l_hi = min(k, L_CAP)
     eps = 2.0**-k
     w = _next_stage_base(plan, k)
-    verdicts = []
 
-    def bail() -> SubstageCheck:
-        return SubstageCheck(k=k, m=m, substage=2, done=False, verdicts=tuple(verdicts))
+    def conditions() -> Iterator[ConditionVerdict]:
+        margins = [delta_k(eps, v, l_hi), eps]
+        if w is not None:
+            margins.append(delta_k(eps, w, min(k + 1, L_CAP)))
+        yield from _transition_gates(
+            k, m, sched, params, digits_fixed, margins,
+            "" if w is not None else "next stage base unknown")
 
-    verdicts.append(
-        ConditionVerdict(
-            name="digit-floor",
-            passed=digits_fixed >= params.min_second_digits,
-            measured=float(digits_fixed),
-            threshold=float(params.min_second_digits),
-        )
-    )
-    if not verdicts[-1].passed:
-        return bail()
-
-    floor = max(params.m_floor, params.t_floor)
-    verdicts.append(
-        ConditionVerdict(
-            name="step-floor", passed=m >= floor, measured=float(m), threshold=float(floor)
-        )
-    )
-    if not verdicts[-1].passed:
-        return bail()
-
-    margins = [delta_k(eps, v, l_hi), eps]
-    if w is not None:
-        margins.append(delta_k(eps, w, min(k + 1, params.l_cap)))
-    margin = max(min(margins) / 2.0, params.transition_margin)
-    need = (params.transition_l2 + 2.0 * k) / margin + k
-    verdicts.append(
-        ConditionVerdict(
-            name="block-length",
-            passed=sched.b(m) - sched.a(m) >= need,
-            measured=float(sched.b(m) - sched.a(m)),
-            threshold=need,
-            detail="" if w is not None else "next stage base unknown",
-        )
-    )
-    if not verdicts[-1].passed:
-        return bail()
-
-    tol = params.entropy_tolerance(2.0 ** -(k + 1))
-    dev = _entropy_deviation(counter, l_hi, 1.0)
-    verdicts.append(
-        ConditionVerdict(
-            name="entropy-at-one",
-            passed=dev <= tol,
-            measured=dev,
-            threshold=tol,
+        tol = params.entropy_tolerance(2.0 ** -(k + 1))
+        dev = _prefix_deviation(counter, l_hi, 1.0)
+        yield ConditionVerdict(
+            name="entropy-at-one", passed=dev <= tol, measured=dev, threshold=tol,
             detail=f"prefix {counter.n}",
         )
-    )
-    if not verdicts[-1].passed:
-        return bail()
 
-    if w is None:
-        verdicts.append(
-            ConditionVerdict(
-                name="good-extension",
-                passed=True,
-                measured=0.0,
-                threshold=0.0,
-                vacuous=True,
-                detail="plan stops before stage k+1",
+        if w is None:
+            yield ConditionVerdict(
+                name="good-extension", passed=True, measured=0.0, threshold=0.0,
+                vacuous=True, detail="plan stops before stage k+1",
             )
-        )
-    else:
-        ext = sched.extended(w)
-        bases = set(ext.u)
-        thresholds = {b: params.disc.n_for(b) for b in bases}
-        thresholds.update({plan.p_of(b): params.disc.n_for(plan.p_of(b)) for b in bases})
-        report = validate_good_sequence(
-            ext,
-            plan.alpha,
-            GoodSequenceParams(plan=plan, n_thresholds=thresholds),
-            m_max=m + 1,
-        )
-        failed = report.failures()
-        verdicts.append(
-            ConditionVerdict(
-                name="good-extension",
-                passed=report.ok,
-                measured=float(len(failed)),
-                threshold=0.0,
-                detail="" if report.ok else f"first failure {failed[0]}",
+        else:
+            ext = sched.extended(w)
+            bases = set(ext.u)
+            thresholds = {b: params.disc.n_for(b) for b in bases}
+            thresholds.update({plan.p_of(b): params.disc.n_for(plan.p_of(b)) for b in bases})
+            report = validate_good_sequence(
+                ext,
+                plan.alpha,
+                GoodSequenceParams(plan=plan, n_thresholds=thresholds),
+                m_max=m + 1,
             )
-        )
-    if not verdicts[-1].passed:
-        return bail()
+            failed = report.failures()
+            yield ConditionVerdict(
+                name="good-extension", passed=report.ok, measured=float(len(failed)),
+                threshold=0.0, detail="" if report.ok else f"first failure {failed[0]}",
+            )
 
-    worst = weyl_max_from_digits(digits, v, params.weyl_t_range)
-    verdicts.append(
-        ConditionVerdict(
-            name="weyl-average",
-            passed=worst < params.weyl_gamma / 2.0,
-            measured=worst,
+        worst = weyl_max_from_digits(digits, v, WEYL_T_RANGE)
+        yield ConditionVerdict(
+            name="weyl-average", passed=worst < params.weyl_gamma / 2.0, measured=worst,
             threshold=params.weyl_gamma / 2.0,
-            detail=f"|t| <= {params.weyl_t_range} at prefix {len(digits)}",
+            detail=f"|t| <= {WEYL_T_RANGE} at prefix {len(digits)}",
         )
-    )
-    if not verdicts[-1].passed:
-        return bail()
 
-    repeated = w is not None and any(plan.v_of(kp) == w for kp in range(1, k))
-    if not repeated:
-        verdicts.append(
-            ConditionVerdict(
-                name="next-base-entropy",
-                passed=True,
-                measured=0.0,
-                threshold=0.0,
-                vacuous=True,
-                detail="next stage base has not appeared before",
+        if w is None or not any(plan.v_of(kp) == w for kp in range(1, k)):
+            yield ConditionVerdict(
+                name="next-base-entropy", passed=True, measured=0.0, threshold=0.0,
+                vacuous=True, detail="next stage base has not appeared before",
             )
-        )
-    else:
-        n_w = angle_base(plan.growth.angle(m + 1), w)
-        other = BlockCounter(w, l_hi)
-        other.extend(digits_prefix(xi, w, n_w).digits)
-        tol_w = params.entropy_tolerance(eps)
-        dev_w = _entropy_deviation(other, l_hi, 1.0)
-        verdicts.append(
-            ConditionVerdict(
-                name="next-base-entropy",
-                passed=dev_w <= tol_w,
-                measured=dev_w,
-                threshold=tol_w,
-                detail=f"base {w} prefix {n_w}",
+        else:
+            n_w = angle_base(plan.growth.angle(m + 1), w)
+            tol_w = params.entropy_tolerance(eps)
+            dev_w = _prefix_deviation(
+                BlockCounter(w, l_hi), l_hi, 1.0, digits_prefix(xi, w, n_w).digits, n_w)
+            yield ConditionVerdict(
+                name="next-base-entropy", passed=dev_w <= tol_w, measured=dev_w,
+                threshold=tol_w, detail=f"base {w} prefix {n_w}",
             )
-        )
-    return SubstageCheck(
-        k=k, m=m, substage=2, done=all(v.passed for v in verdicts), verdicts=tuple(verdicts)
-    )
+
+    return _close_out(k, m, 2, conditions())
 
 
 # ---------------------------------------------------------------------------
@@ -786,13 +757,25 @@ def run_construction(
 
     The plan must fix q for the classes of stages 1..stages; covering
     stage stages+1 as well makes the look-ahead close-out conditions
-    bite instead of passing vacuously.  Exhausting a substage's step
+    bite instead of passing vacuously.  A plan that reaches a base or
+    alphabet without filter constants in params.disc is rejected with
+    ValueError before the first step.  Exhausting a substage's step
     budget stops the run and marks the trace rather than raising.
     """
     if stages < 0:
         raise ValueError(f"stage count must be nonnegative, got {stages}")
     mode = SampledSearch() if mode is None else mode
     params = ConstructionParams() if params is None else params
+    # every base and alphabet the steps and the look-ahead draw from
+    reached = set()
+    for k in range(1, stages + 1):
+        reached |= {plan.v_of(k), plan.v_star(k)}
+    w = _next_stage_base(plan, stages)
+    if w is not None:
+        reached |= {w, plan.p_of(w)}
+    for b in sorted(reached):
+        params.disc.c_for(b)
+        params.disc.n_for(b)
 
     xi = Fraction(0)
     u: list[int] = []
@@ -803,7 +786,7 @@ def run_construction(
     for k in range(1, stages + 1):
         v = plan.v_of(k)
         v_star = plan.v_star(k)
-        counter = BlockCounter(v, min(k, params.l_cap))
+        counter = BlockCounter(v, min(k, L_CAP))
         stage_digits: list[int] = []  # base-v expansion of xi built so far
         substage_start = 0  # stage-local digit count when the substage opened
         p1 = None
@@ -910,28 +893,6 @@ class RequirementVerdict:
     detail: str = ""
 
 
-def _window_deviation(
-    word: DigitWord, l_hi: int, target: float, n_from: int, n_to: int, shortfall: bool
-) -> float:
-    """Extremal entropy deviation from target over prefix lengths n_from..n_to.
-
-    shortfall=True measures only dips below the target (one-sided),
-    otherwise absolute deviation.  O(1) updates per pushed digit.
-    """
-    counter = BlockCounter(word.base, l_hi)
-    dev = -math.inf
-    for n, d in enumerate(word.digits[:n_to], start=1):
-        counter.push(d)
-        if n < n_from:
-            continue
-        for l in range(1, min(l_hi, n) + 1):
-            h = counter.entropy(l)
-            dev = max(dev, target - h if shortfall else abs(h - target))
-    if dev == -math.inf:
-        raise ValueError(f"monitor window {n_from}..{n_to} holds no prefix of the word")
-    return dev
-
-
 def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVerdict, ...]:
     """Judge stage k's entropy requirements against the final point.
 
@@ -946,50 +907,28 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
         raise ValueError(f"stage {k} is incomplete; requirements undefined")
     v = sb.v
     q = float(plan.q_for(v))
-    l_hi = min(k, params.l_cap)
+    l_hi = min(k, L_CAP)
     tol = params.entropy_tolerance
     f1, f2 = trace.first_checkpoint(k), trace.second_checkpoint(k)
     word = digits_prefix(trace.xi, v, f2)
-    out = []
 
-    dev = _window_deviation(word, l_hi, q, f1, f1, shortfall=False)
-    out.append(
-        RequirementVerdict(
-            name="stage-target",
-            k=k,
-            l_hi=l_hi,
-            deviation=dev,
-            threshold=tol(2.0**-k),
-            passed=dev <= tol(2.0**-k),
-            detail=f"|H_l - {q:.6g}| at prefix {f1}",
-        )
-    )
+    def deviation(base, digits, l, target, n_from, shortfall=False) -> float:
+        return _prefix_deviation(BlockCounter(base, l), l, target, digits, n_from, shortfall)
 
-    dev = _window_deviation(word, l_hi, 1.0, f2, f2, shortfall=False)
-    out.append(
-        RequirementVerdict(
-            name="full-restore",
-            k=k,
-            l_hi=l_hi,
-            deviation=dev,
-            threshold=tol(2.0 ** -(k + 1)),
-            passed=dev <= tol(2.0 ** -(k + 1)),
-            detail=f"|H_l - 1| at prefix {f2}",
-        )
-    )
+    def verdict(name, detail, dev=None, threshold=0.0, l=l_hi) -> RequirementVerdict:
+        # dev None marks a requirement whose trigger condition is absent
+        if dev is None:
+            return RequirementVerdict(name, k, l, 0.0, 0.0, True, vacuous=True, detail=detail)
+        return RequirementVerdict(name, k, l, dev, threshold, dev <= threshold, detail=detail)
 
-    dev = _window_deviation(word, l_hi, q, f1, f2, shortfall=True)
-    out.append(
-        RequirementVerdict(
-            name="restore-floor",
-            k=k,
-            l_hi=l_hi,
-            deviation=dev,
-            threshold=tol(2.0 ** -(k - 1)),
-            passed=dev <= tol(2.0 ** -(k - 1)),
-            detail=f"worst dip below {q:.6g} over prefixes {f1}..{f2}",
-        )
-    )
+    out = [
+        verdict("stage-target", f"|H_l - {q:.6g}| at prefix {f1}",
+                deviation(v, word.digits[:f1], l_hi, q, f1), tol(2.0**-k)),
+        verdict("full-restore", f"|H_l - 1| at prefix {f2}",
+                deviation(v, word.digits, l_hi, 1.0, f2), tol(2.0 ** -(k + 1))),
+        verdict("restore-floor", f"worst dip below {q:.6g} over prefixes {f1}..{f2}",
+                deviation(v, word.digits, l_hi, q, f1, shortfall=True), tol(2.0 ** -(k - 1))),
+    ]
 
     held = False
     for kp in range(1, k):
@@ -1000,96 +939,33 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
         prev = trace.stage(k - 1)
         lo = angle_base(plan.growth.angle(prev.p2 + 1), vp) + 1
         hi = angle_base(plan.growth.angle(sb.p2 + 1), vp)
-        l_p = min(kp, params.l_cap)
-        w_p = digits_prefix(trace.xi, vp, hi)
-        dev = _window_deviation(w_p, l_p, 1.0, lo, hi, shortfall=False)
-        out.append(
-            RequirementVerdict(
-                name="other-base-hold",
-                k=k,
-                l_hi=l_p,
-                deviation=dev,
-                threshold=tol(2.0 ** -(kp + 1)),
-                passed=dev <= tol(2.0 ** -(kp + 1)),
-                detail=f"stage-{kp} base {vp}, prefixes {lo}..{hi}",
-            )
-        )
+        l_p = min(kp, L_CAP)
+        dev = deviation(vp, digits_prefix(trace.xi, vp, hi).digits, l_p, 1.0, lo)
+        out.append(verdict("other-base-hold", f"stage-{kp} base {vp}, prefixes {lo}..{hi}",
+                           dev, tol(2.0 ** -(kp + 1)), l_p))
     if not held:
-        out.append(
-            RequirementVerdict(
-                name="other-base-hold",
-                k=k,
-                l_hi=l_hi,
-                deviation=0.0,
-                threshold=0.0,
-                passed=True,
-                vacuous=True,
-                detail="no inequivalent earlier base",
-            )
-        )
+        out.append(verdict("other-base-hold", "no inequivalent earlier base"))
 
     w = _next_stage_base(plan, k)
     repeated = w is not None and any(plan.v_of(kp) == w for kp in range(1, k))
     if not repeated:
-        out.append(
-            RequirementVerdict(
-                name="next-base-restore",
-                k=k,
-                l_hi=l_hi,
-                deviation=0.0,
-                threshold=0.0,
-                passed=True,
-                vacuous=True,
-                detail="next stage base is new or unplanned",
-            )
-        )
+        out.append(verdict("next-base-restore", "next stage base is new or unplanned"))
     else:
         n_w = angle_base(plan.growth.angle(sb.p2 + 1), w)
-        w_next = digits_prefix(trace.xi, w, n_w)
-        dev = _window_deviation(w_next, l_hi, 1.0, n_w, n_w, shortfall=False)
-        out.append(
-            RequirementVerdict(
-                name="next-base-restore",
-                k=k,
-                l_hi=l_hi,
-                deviation=dev,
-                threshold=tol(2.0**-k),
-                passed=dev <= tol(2.0**-k),
-                detail=f"base {w} prefix {n_w}",
-            )
-        )
+        dev = deviation(w, digits_prefix(trace.xi, w, n_w).digits, l_hi, 1.0, n_w)
+        out.append(verdict("next-base-restore", f"base {w} prefix {n_w}", dev, tol(2.0**-k)))
 
-    have_next = repeated and len(trace.stages) > k and trace.stage(k + 1).p1 is not None
-    if not have_next:
-        out.append(
-            RequirementVerdict(
-                name="next-stage-floor",
-                k=k,
-                l_hi=l_hi,
-                deviation=0.0,
-                threshold=0.0,
-                passed=True,
-                vacuous=True,
-                detail="stage k+1 absent or next base is new",
-            )
-        )
+    if not (repeated and len(trace.stages) > k and trace.stage(k + 1).p1 is not None):
+        out.append(verdict("next-stage-floor", "stage k+1 absent or next base is new"))
     else:
         q_next = float(plan.q_for(w))
         lo = trace.stage_start(k + 1)
         hi = trace.first_checkpoint(k + 1)
-        w_next = digits_prefix(trace.xi, w, hi)
-        dev = _window_deviation(w_next, l_hi, q_next, lo, hi, shortfall=True)
-        out.append(
-            RequirementVerdict(
-                name="next-stage-floor",
-                k=k,
-                l_hi=l_hi,
-                deviation=dev,
-                threshold=tol(2.0 ** -(k - 1)),
-                passed=dev <= tol(2.0 ** -(k - 1)),
-                detail=f"worst dip below {q_next:.6g}, base {w}, prefixes {lo}..{hi}",
-            )
-        )
+        dev = deviation(w, digits_prefix(trace.xi, w, hi).digits, l_hi, q_next, lo,
+                        shortfall=True)
+        out.append(verdict("next-stage-floor",
+                           f"worst dip below {q_next:.6g}, base {w}, prefixes {lo}..{hi}",
+                           dev, tol(2.0 ** -(k - 1))))
     return tuple(out)
 
 
@@ -1097,61 +973,22 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
 # trace serialization
 
 
-def _atomic_write(path, emit) -> None:
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_trace_csv(trace: ConstructionTrace, path, comment: Optional[str] = None) -> None:
     """One row per step; block digits are space-separated in one cell."""
-
-    def emit(fh) -> None:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "m",
-                "k",
-                "substage",
-                "criterion",
-                "u",
-                "a_m",
-                "b_m",
-                "block",
-                "objective",
-                "objective_mean",
-                "candidates",
-                "filter_vacuous",
-            ]
-        )
-        for s in trace.steps:
-            writer.writerow(
-                [
-                    s.m,
-                    s.k,
-                    s.substage,
-                    s.criterion,
-                    s.u,
-                    s.a_m,
-                    s.b_m,
-                    " ".join(map(str, s.digit_block.digits)),
-                    f"{s.objective:.12g}",
-                    f"{s.objective_mean:.12g}",
-                    s.candidates_examined,
-                    int(s.filter_vacuous),
-                ]
-            )
-
-    _atomic_write(path, emit)
+    buf = io.StringIO()
+    if comment:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf)
+    writer.writerow(["m", "k", "substage", "criterion", "u", "a_m", "b_m", "block",
+                     "objective", "objective_mean", "candidates", "filter_vacuous"])
+    for s in trace.steps:
+        writer.writerow([
+            s.m, s.k, s.substage, s.criterion, s.u, s.a_m, s.b_m,
+            " ".join(map(str, s.digit_block.digits)),
+            f"{s.objective:.12g}", f"{s.objective_mean:.12g}",
+            s.candidates_examined, int(s.filter_vacuous),
+        ])
+    atomic_write_text(path, buf.getvalue())
 
 
 def monitor_summary(
@@ -1192,5 +1029,4 @@ def write_monitor_summary(
     path,
     requirements: Optional[Mapping[int, Sequence[RequirementVerdict]]] = None,
 ) -> None:
-    summary = monitor_summary(trace, requirements)
-    _atomic_write(path, lambda fh: json.dump(summary, fh, indent=2))
+    atomic_write_text(path, json.dumps(monitor_summary(trace, requirements), indent=2))

@@ -11,15 +11,15 @@ uniform random words pass, so rejection sampling of good words stays cheap.
 from __future__ import annotations
 
 import configparser
+import io
 import math
 import os
 import random
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
-from fsdim.base_arith import DigitWord
+from fsdim.base_arith import DigitWord, atomic_write_text
 from fsdim.blockstats import BlockCounter
 
 __all__ = [
@@ -97,16 +97,9 @@ class DiscrepancyParams:
         for base in sorted(self.n_min):
             cp.set("discrepancy", f"N_{base}", str(self.n_min[base]))
         cp.set("discrepancy", "z_len_cap", str(self.z_len_cap))
-        directory = os.path.dirname(os.fspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                cp.write(fh)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        buf = io.StringIO()
+        cp.write(buf)
+        atomic_write_text(path, buf.getvalue())
 
     @classmethod
     def read_config(cls, path: Union[str, os.PathLike]) -> "DiscrepancyParams":
@@ -167,37 +160,51 @@ def _deviation_threshold(c: float, n: int) -> float:
     return c * math.sqrt(math.log(math.log(n))) / math.sqrt(n)
 
 
+def _extremal_deviations(
+    word: DigitWord, n_min: int, z_len_cap: int
+) -> Iterator[tuple[int, float]]:
+    """Yield (n, dev) for every prefix length n >= n_min that a block still fits.
+
+    dev is the largest of max_count/n - b^-l and b^-l - min_count/n over
+    the block lengths 1 <= l <= min(|w| - n_min, z_len_cap) with
+    n <= |w| - l.  Only the extremal counts can break the two-sided
+    frequency bound, so one streaming pass serves every prefix.
+    """
+    base, total = word.base, len(word)
+    if total <= n_min:
+        raise WordTooShortError(f"word length {total} does not exceed N_{base} = {n_min}")
+    l_max = min(total - n_min, z_len_cap)
+    counter = BlockCounter(base, l_max)
+    max_count, min_count = counter.max_count, counter.min_count
+    inv = [0.0] + [base**-l for l in range(1, l_max + 1)]
+    # the full word (n = total) leaves no room for any block, so it is not read
+    for n, d in enumerate(word.digits[:-1], start=1):
+        counter.push(d)
+        if n < n_min:
+            continue
+        dev = -math.inf
+        for l in range(1, min(l_max, total - n) + 1):
+            hi = max_count(l) / n - inv[l]
+            lo = inv[l] - min_count(l) / n
+            if hi > dev:
+                dev = hi
+            if lo > dev:
+                dev = lo
+        yield n, dev
+
+
 def low_discrepancy_test(word: DigitWord, params: DiscrepancyParams) -> bool:
     """Whether every block length and every prefix meet the frequency bound.
 
     Checks |N(z, w_1^n)/n - b^-|z|| < C_b sqrt(log log n)/sqrt(n) for all
     blocks z with 1 <= |z| <= min(|w| - N_b, z_len_cap) and all prefixes
-    n with N_b <= n <= |w| - |z|. Only the extremal counts can violate the
-    two-sided bound, so one streaming pass suffices.
+    n with N_b <= n <= |w| - |z|, stopping at the first prefix that fails.
     """
-    base = word.base
-    c = params.c_for(base)
-    n_min = params.n_for(base)
-    total = len(word)
-    if total <= n_min:
-        raise WordTooShortError(
-            f"word length {total} does not exceed N_{base} = {n_min}"
-        )
-    l_max = min(total - n_min, params.z_len_cap)
-    counter = BlockCounter(base, l_max)
-    inv = [0.0] + [base**-l for l in range(1, l_max + 1)]
-    for n, d in enumerate(word, start=1):
-        counter.push(d)
-        if n < n_min:
-            continue
-        threshold = _deviation_threshold(c, n)
-        for l in range(1, l_max + 1):
-            if n > total - l:
-                continue
-            hi = counter.max_count(l) / n - inv[l]
-            lo = inv[l] - counter.min_count(l) / n
-            if hi >= threshold or lo >= threshold:
-                return False
+    c = params.c_for(word.base)
+    n_min = params.n_for(word.base)
+    for n, dev in _extremal_deviations(word, n_min, params.z_len_cap):
+        if dev >= _deviation_threshold(c, n):
+            return False
     return True
 
 
@@ -205,27 +212,11 @@ def discrepancy_statistic(
     word: DigitWord, n_min: int, z_len_cap: int = 6
 ) -> float:
     """Smallest C that this word passes (sup of deviation / threshold shape)."""
-    total = len(word)
-    if total <= n_min:
-        raise WordTooShortError(f"word length {total} does not exceed {n_min}")
-    l_max = min(total - n_min, z_len_cap)
-    counter = BlockCounter(word.base, l_max)
-    inv = [0.0] + [word.base**-l for l in range(1, l_max + 1)]
     stat = 0.0
-    for n, d in enumerate(word, start=1):
-        counter.push(d)
-        if n < n_min:
-            continue
+    for n, dev in _extremal_deviations(word, n_min, z_len_cap):
         scale = math.sqrt(n) / math.sqrt(math.log(math.log(n)))
-        for l in range(1, l_max + 1):
-            if n > total - l:
-                continue
-            dev = max(
-                counter.max_count(l) / n - inv[l],
-                inv[l] - counter.min_count(l) / n,
-            )
-            if dev * scale > stat:
-                stat = dev * scale
+        if dev * scale > stat:
+            stat = dev * scale
     return stat
 
 

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import cmath
 import csv
+import io
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 import numpy as np
 
+from .base_arith import atomic_write_text, frac_of_scaled, orbit_residues
 from .schedule import Schedule, equivalent
 
 __all__ = [
@@ -98,46 +98,20 @@ class WeylReport:
         return max(abs(v) for v in self.averages.values())
 
     def write_csv(self, path) -> None:
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["t", "re", "im", "modulus"])
-                for t in sorted(self.averages):
-                    v = self.averages[t]
-                    writer.writerow([t, f"{v.real:.12g}", f"{v.imag:.12g}", f"{abs(v):.12g}"])
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-
-def _orbit_counts(num: int, den: int, b: int, n: int) -> np.ndarray:
-    # counts[v] = #{1 <= j <= n : num * b**(j-1) mod den == v}
-    chunk = 1 << 14
-    powers = np.empty(chunk, dtype=np.int64)
-    acc = 1
-    for i in range(chunk):
-        powers[i] = acc
-        acc = (acc * b) % den
-    counts = np.zeros(den, dtype=np.int64)
-    step = pow(b, chunk, den)
-    start = num % den
-    done = 0
-    while done < n:
-        take = min(chunk, n - done)
-        # start, powers < den <= 2**24 so the product stays within int64
-        residues = (start * powers[:take]) % den
-        counts += np.bincount(residues, minlength=den)
-        start = (start * step) % den
-        done += take
-    return counts
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["t", "re", "im", "modulus"])
+        for t in sorted(self.averages):
+            v = self.averages[t]
+            writer.writerow([t, f"{v.real:.12g}", f"{v.imag:.12g}", f"{abs(v):.12g}"])
+        atomic_write_text(path, buf.getvalue())
 
 
 def _averages_fft(num: int, den: int, b: int, n: int, t_max: int) -> dict[int, complex]:
-    counts = _orbit_counts(num, den, b, n)
+    # counts[v] = #{1 <= j <= n : num * b**(j-1) mod den == v}
+    counts = np.zeros(den, dtype=np.int64)
+    for residues in orbit_residues(num, den, b, n):
+        counts += np.bincount(residues, minlength=den)
     # sum_j e(t*r_j/den) = sum_v counts[v] * e(t*v/den) = conj(FFT(counts))[t mod den]
     spectrum = np.conj(np.fft.fft(counts))
     return {t: complex(spectrum[t % den]) / n for t in range(1, t_max + 1)}
@@ -274,8 +248,6 @@ def a_m_naive(
     t_cap: Optional[int] = None,
 ) -> float:
     """Literal triple-loop evaluation of the step objective, for cross-checks."""
-    from .base_arith import frac_of_scaled
-
     if not 1 <= m <= len(sched):
         raise ValueError(f"step {m} outside schedule of length {len(sched)}")
     f = _reduced(x)

@@ -157,8 +157,7 @@ def test_criterion_09_construction_mechanics():
     params = ConstructionParams(
         tolerance=0.1,
         weyl_gamma=0.8,
-        min_first_digits=20_000,
-        min_second_digits=20_000,
+        min_digits=20_000,
     )
     start = time.perf_counter()
     trace = run_construction(plan, 1, SampledSearch(samples=64, seed=0), params)

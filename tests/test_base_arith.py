@@ -1,5 +1,6 @@
 """Exact radix arithmetic: oracle checks and frozen examples."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -8,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsdim.base_arith import (
+    RESIDUE_CHUNK,
     CylinderInterval,
     DigitWord,
     as_unit,
+    atomic_write_text,
     digit_at,
     digits_prefix,
     frac_of_scaled,
     in_cylinder,
+    orbit_residues,
     read_digit_file,
     value_of_word,
     write_digit_file,
@@ -126,6 +130,28 @@ def test_digits_prefix_fast_path_agrees_with_scalar_path():
     big = digits_prefix(x, 3, 5000)
     assert list(big)[:64] == oracle_digits(x.numerator, x.denominator, 3, 64)
     assert list(big) == oracle_digits(x.numerator, x.denominator, 3, 5000)
+    # lengths spanning several residue chunks, and a denominator just below
+    # 2^31 where the int64 products come closest to overflowing
+    for x, base, n in [
+        (Fraction(1234567, 9876543), 3, 3 * RESIDUE_CHUNK + 5),
+        (Fraction(987654321, 2**31 - 1), 7, 2 * RESIDUE_CHUNK),
+        (Fraction(2**31 - 3, 2**31 - 2), 10, RESIDUE_CHUNK + 1),
+    ]:
+        assert x.denominator < 2**31
+        got = digits_prefix(x, base, n)
+        assert list(got) == oracle_digits(x.numerator, x.denominator, base, n)
+
+
+def test_orbit_residues_chunks():
+    num, den, base, n = 123456789, 2**31 - 1, 5, 2 * RESIDUE_CHUNK + 3
+    chunks = list(orbit_residues(num, den, base, n))
+    assert [len(c) for c in chunks] == [RESIDUE_CHUNK, RESIDUE_CHUNK, 3]
+    flat = [int(r) for c in chunks for r in c]
+    for i in range(0, n, 997):  # flat[i] is r_(i+1) = num * base^i mod den
+        assert flat[i] == num * pow(base, i, den) % den
+    assert list(orbit_residues(num, den, base, 0)) == []
+    with pytest.raises(ValueError):
+        next(orbit_residues(1, 2**31, 2, 10))
 
 
 @given(
@@ -215,6 +241,21 @@ def test_digit_file_roundtrip(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "base=12"
     assert read_digit_file(path) == w
+
+
+def test_atomic_write_keeps_old_file_when_replace_fails(tmp_path, monkeypatch):
+    path = tmp_path / "kept.txt"
+    atomic_write_text(path, "old\r\ncontents\n")
+    assert path.read_bytes() == b"old\r\ncontents\n"  # newlines written as given
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        atomic_write_text(path, "new contents\n")
+    assert path.read_bytes() == b"old\r\ncontents\n"
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_digit_file_rejects_malformed(tmp_path):

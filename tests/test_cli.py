@@ -113,10 +113,20 @@ def test_construct_single_stage_outputs(plan_file, tmp_path, capsys):
 
 
 def test_construct_rejects_inconsistent_plan(tmp_path, capsys):
-    plan = tmp_path / "bad.txt"
-    plan.write_text("q 2 1/2\nq 4 1/3\n")  # 2 ~ 4 but targets disagree
-    assert main(["construct", "--plan", str(plan), "--stages", "1"]) == 2
-    assert "invalid plan" in capsys.readouterr().err
+    cases = [
+        ("q 2 1/2\nq 4 1/3\n", "invalid plan"),  # 2 ~ 4 but targets disagree
+        ("q 2 1/3\n", "base 8"),  # stage 1 works in base 2^3: no filter constants
+        # stage 1 alone is fine, but its close-out looks ahead to base 3^2
+        ("q 2 1/2\nq 3 1/2\n", "base 9"),
+    ]
+    for i, (text, message) in enumerate(cases):
+        plan = tmp_path / f"bad{i}.txt"
+        plan.write_text(text)
+        out = tmp_path / f"run{i}"
+        assert main(["construct", "--plan", str(plan), "--stages", "1",
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
 
 
 def test_construct_zero_stages_is_success(plan_file, tmp_path, capsys):

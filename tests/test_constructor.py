@@ -1,6 +1,7 @@
 """Tests for the staged construction: selection, predicates, runs, monitors."""
 
 import csv
+import hashlib
 import json
 import math
 import random
@@ -35,7 +36,7 @@ from fsdim.constructor import (
 )
 from fsdim.discrepancy import DiscrepancyParams, low_discrepancy_test
 from fsdim.expsum import a_m_naive, weyl_average
-from fsdim.schedule import ScaledGrowth, Schedule, StagePlan, TableGrowth
+from fsdim.schedule import ScaledGrowth, Schedule, StagePlan, TableGrowth, parse_plan
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,7 @@ def test_first_substage_done_floor_short_circuits():
     plan = StagePlan({2: Fraction(1, 2)}, growth=ScaledGrowth(8, 4))
     sched = Schedule((4,), plan.growth)
     counter = _fabricated_counter(4, [0, 1] * 6, 1)
-    params = ConstructionParams(min_first_digits=10**6)
+    params = ConstructionParams(min_digits=10**6)
     check = first_substage_done(1, 1, sched, plan, params, counter, counter.n)
     assert not check.done
     assert [v.name for v in check.verdicts] == ["digit-floor"]
@@ -410,7 +411,6 @@ def test_second_substage_done_on_ideal_digits():
     names = [v.name for v in check.verdicts]
     assert names == [
         "digit-floor",
-        "step-floor",
         "block-length",
         "entropy-at-one",
         "good-extension",
@@ -442,10 +442,8 @@ def test_second_substage_done_fails_on_diluted_digits():
 
 def _fast_params(**overrides):
     base = dict(
-        min_first_digits=120,
-        min_second_digits=120,
+        min_digits=120,
         transition_l=0.5,
-        transition_l2=0.5,
         tolerance=0.15,
         weyl_gamma=0.8,
         step_budget=200,
@@ -689,3 +687,105 @@ def test_monitor_summary_round_trip(tmp_path):
     names = {r["name"] for r in data["requirements"]["1"]}
     assert {"stage-target", "full-restore", "restore-floor"} <= names
     assert monitor_summary(trace)["steps"] == len(trace.steps)
+
+
+# ---------------------------------------------------------------------------
+# golden runs: any change to a chosen block or a requirement value fails here
+
+
+def _int_bytes(n):
+    return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
+
+
+def _xi_digest(trace):
+    h = hashlib.sha256()
+    h.update(_int_bytes(trace.xi.numerator))
+    h.update(b"/")
+    h.update(_int_bytes(trace.xi.denominator))
+    return h
+
+
+def _steps_digest(trace):
+    # xi, then every (m, u, a_m, b_m, block) in step order
+    h = _xi_digest(trace)
+    for s in trace.steps:
+        h.update(f"|{s.m},{s.u},{s.a_m},{s.b_m}:".encode())
+        h.update(bytes(s.digit_block.digits))
+    return h.hexdigest()
+
+
+# (plan, stages, samples, min_digits, transition_margin), seed 0
+GOLDEN_RUNS = {
+    "1class": ("q 2 1/2\ngrowth scaled 8 4\n", 1, 8, 600, 0.0),
+    "2class": ("q 2 1/2\nq 3 1\ngrowth scaled 8 4\n", 2, 4, 300, 0.05),
+}
+# xi digest, steps digest, step count, (k, requirement, deviation as float.hex)
+GOLDEN_VALUES = {
+    "1class": (
+        "03f4524a654e19015b10017c75d1c9b4f2338134be15d48fbc3d141c2c19bf67",
+        "b3b16d61427fae71f7fecf170858fe608bc9630b70b95f655a3feb4d8a049201",
+        47,
+        [
+            (1, "stage-target", "0x1.9c2c0ee692e00p-11"),
+            (1, "full-restore", "0x1.94dbd42e4c0c0p-4"),
+            (1, "restore-floor", "0x1.a64e795684800p-11"),
+            (1, "other-base-hold", "0x0.0p+0"),
+            (1, "next-base-restore", "0x0.0p+0"),
+            (1, "next-stage-floor", "0x0.0p+0"),
+        ],
+    ),
+    "2class": (
+        "c4b2d0ce1d2709b6c4c4b6a36883664830b2cdd78487a35a180760cf0075c5ff",
+        "ef6bc007991ccac6798a032c0406c46d3fcd66ac4ef51a9fffe0950fa8eb73ad",
+        35,
+        [
+            (1, "stage-target", "0x1.6592e55178600p-11"),
+            (1, "full-restore", "0x1.609db1ff3e180p-4"),
+            (1, "restore-floor", "0x1.6592e55178600p-11"),
+            (1, "other-base-hold", "0x0.0p+0"),
+            (1, "next-base-restore", "0x0.0p+0"),
+            (1, "next-stage-floor", "0x0.0p+0"),
+            (2, "stage-target", "0x1.2e4b2d8417000p-13"),
+            (2, "full-restore", "0x1.ef0e9291da000p-14"),
+            (2, "restore-floor", "0x1.7aa8c7c8f9000p-13"),
+            (2, "other-base-hold", "0x1.611292d13cf80p-4"),
+            (2, "next-base-restore", "0x1.09572268ea1f0p-4"),
+            (2, "next-stage-floor", "0x0.0p+0"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_seeded_runs_match_golden_values(name):
+    text, stages, samples, min_digits, margin = GOLDEN_RUNS[name]
+    params = ConstructionParams(tolerance=0.1, weyl_gamma=0.8, min_digits=min_digits,
+                                transition_margin=margin)
+    trace = run_construction(parse_plan(text), stages, SampledSearch(samples, 0), params)
+    xi_hex, steps_hex, n_steps, requirements = GOLDEN_VALUES[name]
+    assert _xi_digest(trace).hexdigest() == xi_hex
+    assert len(trace.steps) == n_steps
+    assert _steps_digest(trace) == steps_hex
+    got = [(k, v.name, v.deviation.hex())
+           for k in range(1, stages + 1) for v in check_requirements(trace, k)]
+    assert got == requirements
+
+
+def test_run_construction_rejects_unfiltered_bases_before_any_step(monkeypatch):
+    import fsdim.constructor as constructor
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before the plan was checked")
+
+    monkeypatch.setattr(constructor, "select_step", no_step)
+    # stage 1 works in base 8 = 2^3, which has no filter constants
+    with pytest.raises(ValueError, match="base 8"):
+        run_construction(StagePlan({2: Fraction(1, 3)}), 1)
+    # stage 1 is fine, but its close-out looks ahead to stage 2's base 9
+    with pytest.raises(ValueError, match="base 9"):
+        run_construction(StagePlan({2: Fraction(1, 2), 3: Fraction(1, 2)}), 1)
+    # covering base 9 makes the same plan acceptable up to the first step
+    disc = DiscrepancyParams.default().with_base(9, 0.8, 50)
+    with pytest.raises(AssertionError, match="before the plan"):
+        run_construction(StagePlan({2: Fraction(1, 2), 3: Fraction(1, 2)}), 1,
+                         params=ConstructionParams(disc=disc))
