@@ -37,8 +37,6 @@ from functools import lru_cache
 from itertools import product as iter_product
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
 from .base_arith import DigitWord, Rational, as_unit, atomic_write_text, digits_prefix
 from .blockstats import BlockCounter
 from .discrepancy import (
@@ -47,7 +45,7 @@ from .discrepancy import (
     low_discrepancy_test,
     sample_good_string,
 )
-from .expsum import a_m
+from .expsum import a_m, weyl_max_from_digits
 from .schedule import (
     GoodSequenceParams,
     Schedule,
@@ -447,32 +445,6 @@ class SubstageCheck:
     substage: int
     done: bool
     verdicts: tuple[ConditionVerdict, ...]
-
-
-def weyl_max_from_digits(digits: Sequence[int], base: int, t_range: int) -> float:
-    """Largest |prefix average of e(t * base**(j-1) * x)| for 1 <= t <= t_range.
-
-    x is the point whose expansion starts with the given digits and is
-    zero afterwards; the shifted orbit values are then windowed sums of
-    the digits themselves, so no exact arithmetic is needed.  Accurate
-    to float noise (the window keeps more digits than a float holds).
-    """
-    if base < 2:
-        raise ValueError(f"base must be at least 2, got {base}")
-    if t_range < 1:
-        raise ValueError(f"t_range must be positive, got {t_range}")
-    taps = int(math.ceil(53.0 / math.log2(base))) + 4
-    d = np.asarray(digits, dtype=np.float64)
-    if d.size == 0:
-        raise ValueError("need at least one digit")
-    weights = float(base) ** -(np.arange(taps, dtype=np.float64) + 1.0)
-    padded = np.concatenate([d, np.zeros(taps - 1)])
-    tails = np.correlate(padded, weights, mode="valid")
-    best = 0.0
-    for t in range(1, t_range + 1):
-        avg = np.exp((2j * math.pi * t) * tails).mean()
-        best = max(best, float(abs(avg)))
-    return best
 
 
 def _prefix_deviation(

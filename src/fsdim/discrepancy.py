@@ -57,6 +57,13 @@ DEFAULT_C: dict[int, float] = {
 DEFAULT_N = 50
 
 
+def _lookup(table: Mapping[int, float], base: int, what: str):
+    if base not in table:
+        covered = ", ".join(str(b) for b in sorted(table))
+        raise ValueError(f"no {what} for base {base} (constants exist for bases {covered})")
+    return table[base]
+
+
 @dataclass(frozen=True)
 class DiscrepancyParams:
     """Per-base filter constants plus the block-length cap."""
@@ -70,16 +77,10 @@ class DiscrepancyParams:
         return cls(dict(DEFAULT_C), {b: DEFAULT_N for b in DEFAULT_C})
 
     def c_for(self, base: int) -> float:
-        try:
-            return self.c[base]
-        except KeyError:
-            raise ValueError(f"no calibrated C for base {base}; run calibration") from None
+        return _lookup(self.c, base, "filter constant C")
 
     def n_for(self, base: int) -> int:
-        try:
-            return self.n_min[base]
-        except KeyError:
-            raise ValueError(f"no N threshold for base {base}; run calibration") from None
+        return _lookup(self.n_min, base, "N threshold")
 
     def with_base(self, base: int, c: float, n_min: int) -> "DiscrepancyParams":
         cs = dict(self.c)

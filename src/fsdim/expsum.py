@@ -1,12 +1,14 @@
 """Exponential sums over digit orbits.
 
-Everything here feeds on the orbit t * b**(j-1) * x mod 1.  Arguments
-are reduced exactly (integer arithmetic on the numerator) before any
-float conversion, because b**(j-1) overflows floats almost
-immediately.  The module provides Weyl prefix averages, the step
-objective A_m that the construction minimizes, sine-ratio products,
-the all-cosines constant eta = 2/pi, and a certificate turning small
-Weyl averages into a digit-uniformity guarantee.
+Everything here feeds on the orbit t * b**(j-1) * x mod 1, through one
+engine: _orbit_phases reduces the orbit exactly (one big-integer mulmod
+per j) and rounds each phase once, and _phase_sum forms
+sum_j e(t * phase_j) in one numpy pass per t.  Each term is within
+2*pi*|t|*2**-52 of exact, plus the rounding of exp.  The module
+provides Weyl prefix averages, the step objective A_m that the
+construction minimizes with its exact oracle a_m_naive, sine-ratio
+products, the all-cosines constant eta = 2/pi, and a certificate
+turning small Weyl averages into a digit-uniformity guarantee.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +32,7 @@ __all__ = [
     "WeylReport",
     "weyl_report",
     "weyl_entropy_certificate",
+    "weyl_max_from_digits",
     "certificate_t_range",
     "certificate_gamma",
     "a_m",
@@ -60,11 +63,27 @@ def _reduced(x: Real) -> Fraction:
     return f - (f.numerator // f.denominator)
 
 
+def _orbit_phases(num: int, den: int, b: int, j0: int, n: int) -> np.ndarray:
+    """frac(num * b**(j-1) / den) for j = j0 .. j0+n-1, correctly rounded."""
+    phases = np.empty(n)
+    r = num * pow(b, j0 - 1, den) % den
+    for i in range(n):
+        phases[i] = r / den
+        r = r * b % den
+    return phases
+
+
+def _phase_sum(phases: np.ndarray, t: int) -> complex:
+    """Sum of e(t * phase) over the phases, with t * phase reduced mod 1."""
+    return complex(np.exp(TWO_PI_I * ((t * phases) % 1.0)).sum())
+
+
 def weyl_average(x: Real, b: int, t: int, n: int) -> complex:
     """(1/n) * sum of e(t * b**(j-1) * x) over j = 1..n.
 
-    The orbit numerator is reduced mod the denominator of x at every
-    step, so the result is exact up to the final float conversions.
+    Each phase is correctly rounded (within 2**-54), so after scaling by
+    t each term is within 2*pi*|t|*2**-52 of exact, plus the rounding of
+    exp.
     """
     if b < 2:
         raise ValueError(f"need a base >= 2, got {b}")
@@ -73,15 +92,7 @@ def weyl_average(x: Real, b: int, t: int, n: int) -> complex:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     f = _reduced(x)
-    num, den = f.numerator, f.denominator
-    total = 0j
-    r = num % den
-    for _ in range(n):
-        # (t*r % den) / den is the correctly rounded float of the exact
-        # phase; skipping the Fraction avoids a huge-int gcd per term
-        total += cmath.exp(TWO_PI_I * ((t * r) % den / den))
-        r = (r * b) % den
-    return total / n
+    return _phase_sum(_orbit_phases(f.numerator, f.denominator, b, 1, n), t) / n
 
 
 @dataclass(frozen=True)
@@ -117,22 +128,12 @@ def _averages_fft(num: int, den: int, b: int, n: int, t_max: int) -> dict[int, c
     return {t: complex(spectrum[t % den]) / n for t in range(1, t_max + 1)}
 
 
-def _averages_scalar(num: int, den: int, b: int, n: int, t_max: int) -> dict[int, complex]:
-    totals = [0j] * (t_max + 1)
-    r = num % den
-    for _ in range(n):
-        for t in range(1, t_max + 1):
-            totals[t] += cmath.exp(TWO_PI_I * ((t * r) % den / den))
-        r = (r * b) % den
-    return {t: totals[t] / n for t in range(1, t_max + 1)}
-
-
 def weyl_report(x: Real, b: int, t_max: int, n: int) -> WeylReport:
     """Averages for every t in 1..t_max over the length-n prefix orbit.
 
     Moduli for negative t equal those for |t|, so only positive t are
     stored.  A DFT over residue counts handles rational x with small
-    denominator; otherwise each t is accumulated directly.
+    denominator; otherwise the orbit phases are summed once per t.
     """
     if t_max < 1:
         raise ValueError(f"need t_max >= 1, got {t_max}")
@@ -142,13 +143,34 @@ def weyl_report(x: Real, b: int, t_max: int, n: int) -> WeylReport:
         raise ValueError(f"need a base >= 2, got {b}")
     f = _reduced(x)
     num, den = f.numerator, f.denominator
-    if den <= _FFT_DENOMINATOR_LIMIT and den > 1:
+    if 1 < den <= _FFT_DENOMINATOR_LIMIT:
         averages = _averages_fft(num, den, b, n, t_max)
-    elif den == 1:
-        averages = {t: 1 + 0j for t in range(1, t_max + 1)}
     else:
-        averages = _averages_scalar(num, den, b, n, t_max)
+        phases = _orbit_phases(num, den, b, 1, n)
+        averages = {t: _phase_sum(phases, t) / n for t in range(1, t_max + 1)}
     return WeylReport(base=b, n=n, t_range=t_max, averages=averages)
+
+
+def weyl_max_from_digits(digits: Sequence[int], base: int, t_range: int) -> float:
+    """Largest |prefix average of e(t * base**(j-1) * x)| for 1 <= t <= t_range.
+
+    x is the point whose expansion starts with the given digits and is
+    zero afterwards; the shifted orbit values are then windowed sums of
+    the digits themselves, so no exact arithmetic is needed.  Accurate
+    to float noise (the window keeps more digits than a float holds).
+    """
+    if base < 2:
+        raise ValueError(f"base must be at least 2, got {base}")
+    if t_range < 1:
+        raise ValueError(f"t_range must be positive, got {t_range}")
+    taps = int(math.ceil(53.0 / math.log2(base))) + 4
+    d = np.asarray(digits, dtype=np.float64)
+    if d.size == 0:
+        raise ValueError("need at least one digit")
+    weights = float(base) ** -(np.arange(taps, dtype=np.float64) + 1.0)
+    padded = np.concatenate([d, np.zeros(taps - 1)])
+    tails = np.correlate(padded, weights, mode="valid")
+    return max(abs(_phase_sum(tails, t)) for t in range(1, t_range + 1)) / d.size
 
 
 def certificate_t_range(eps: float) -> int:
@@ -227,17 +249,10 @@ def a_m(
     for u in bases:
         multiplicity = sum(1 for h in range(1, m + 1) if sched.base(h) == u)
         j_lo = sched.angle_base(m, u) + 1
-        j_hi = sched.angle_base(m + 1, u)
-        if j_hi < j_lo:
-            continue
-        r = (num * pow(u, j_lo - 1, den)) % den
-        sums = [0j] * (t_max + 1)
-        for _ in range(j_lo, j_hi + 1):
-            for t in range(1, t_max + 1):
-                sums[t] += cmath.exp(TWO_PI_I * ((t * r) % den / den))
-            r = (r * u) % den
+        phases = _orbit_phases(num, den, u, j_lo, sched.angle_base(m + 1, u) - j_lo + 1)
         # negative t contribute conjugate sums with equal modulus
-        total += 2.0 * multiplicity * sum(abs(s) ** 2 for s in sums[1:])
+        total += 2.0 * multiplicity * sum(
+            abs(_phase_sum(phases, t)) ** 2 for t in range(1, t_max + 1))
     return total
 
 

@@ -21,7 +21,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+
+from .discrepancy import DEFAULT_N
 
 __all__ = [
     "integer_root",
@@ -129,19 +131,24 @@ def r_seq(k: int) -> int:
 # growth functions
 
 
-@lru_cache(maxsize=None)
-def _paper_angle(u1: int, m: int) -> int:
-    # ceil(e**sqrt(m) + 2*u1*m**3), computed at two decimal precisions;
-    # e**sqrt(m) is irrational so the ceilings agree once precision wins.
+def _stable_ceil(value: Callable[[], decimal.Decimal], what: str) -> int:
+    # ceil of an irrational value, evaluated at two decimal precisions;
+    # the ceilings agree once precision wins
     results = []
     for prec in (50, 80):
         with decimal.localcontext() as ctx:
             ctx.prec = prec
-            val = decimal.Decimal(m).sqrt().exp() + 2 * u1 * m ** 3
-            results.append(math.ceil(val))
+            results.append(math.ceil(value()))
     if results[0] != results[1]:
-        raise ArithmeticError(f"ceil(e**sqrt({m}) + ...) unstable at 80 digits")
+        raise ArithmeticError(f"{what} unstable at 80 digits")
     return results[1]
+
+
+@lru_cache(maxsize=None)
+def _paper_angle(u1: int, m: int) -> int:
+    # ceil(e**sqrt(m) + 2*u1*m**3); e**sqrt(m) is irrational
+    return _stable_ceil(lambda: decimal.Decimal(m).sqrt().exp() + 2 * u1 * m ** 3,
+                        f"ceil(e**sqrt({m}) + ...)")
 
 
 @dataclass(frozen=True)
@@ -215,18 +222,11 @@ Growth = Union[PaperGrowth, ScaledGrowth, TableGrowth]
 
 @lru_cache(maxsize=None)
 def _ceil_div_ln(a: int, r: int) -> int:
-    # Smallest integer c with c*ln(r) >= a.  a/ln(r) is irrational for
-    # a >= 1, so two rounds at growing precision must agree.
+    # Smallest integer c with c*ln(r) >= a; a/ln(r) is irrational for a >= 1.
     if a == 0:
         return 0
-    results = []
-    for prec in (50, 80):
-        with decimal.localcontext() as ctx:
-            ctx.prec = prec
-            results.append(math.ceil(decimal.Decimal(a) / decimal.Decimal(r).ln()))
-    if results[0] != results[1]:
-        raise ArithmeticError(f"ceil({a}/ln {r}) unstable at 80 digits")
-    return results[1]
+    return _stable_ceil(lambda: decimal.Decimal(a) / decimal.Decimal(r).ln(),
+                        f"ceil({a}/ln {r})")
 
 
 def angle_base(angle_value: int, r: int) -> int:
@@ -501,6 +501,9 @@ def read_plan_file(path) -> StagePlan:
 # good-sequence validation
 
 
+TAIL_TERMS = 200  # factors kept of condition 1's sine products; see _tail_lower_bound
+
+
 @dataclass(frozen=True)
 class GoodSequenceParams:
     """Knobs for validate_good_sequence.
@@ -508,18 +511,15 @@ class GoodSequenceParams:
     plan supplies p(b) and, through its alpha table, the beta values.
     n_thresholds maps base -> N_b(1/2), the word length beyond which
     the low-discrepancy bound of that base is considered active;
-    condition 4 compares block lengths against these.  tail_terms
-    truncates the infinite products of condition 1; the dropped tail
-    is bounded below via 1 - x analysis, see _tail_lower_bound.
+    condition 4 compares block lengths against these.  Bases missing
+    from n_thresholds use the filter's DEFAULT_N.
     """
 
     plan: StagePlan
     n_thresholds: Mapping[int, int] = field(default_factory=dict)
-    default_n_threshold: int = 50
-    tail_terms: int = 200
 
     def n_for(self, base: int) -> int:
-        return int(self.n_thresholds.get(base, self.default_n_threshold))
+        return int(self.n_thresholds.get(base, DEFAULT_N))
 
 
 @dataclass(frozen=True)
@@ -564,7 +564,7 @@ def validate_good_sequence(
     Condition 1 (m > 1): the tail product of sine ratios at argument
     1/2**(i+1), i >= b_m - 1, with multiplier p(u(m)) stays above the
     all-cosines constant 2/pi.  Products are truncated after
-    params.tail_terms factors and the dropped tail replaced by a
+    TAIL_TERMS factors and the dropped tail replaced by a
     rigorous lower bound, so a reported pass is sound.
     Condition 2: beta_m >= beta_1 / m**(1/4) using the alpha table.
     Condition 3: u(m) <= u(1)*m, exact.
@@ -577,7 +577,7 @@ def validate_good_sequence(
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     if m_max > len(sched):
         raise ValueError(f"m_max={m_max} exceeds schedule length {len(sched)}")
-    eta = eta_constant(params.tail_terms)
+    eta = eta_constant(TAIL_TERMS)
     checks: list[ConditionCheck] = []
     beta_1 = beta_m(sched, alpha, 1)
     for m in range(1, m_max + 1):
@@ -585,9 +585,9 @@ def validate_good_sequence(
         p = params.plan.p_of(u_m)
         if m > 1:
             b = sched.b(m)
-            # factors i = b_m-1 .. b_m-2+tail_terms, then the bounded tail
-            head = sin_ratio_product(p, 2, 1, b, b - 1 + params.tail_terms)
-            lower = head * _tail_lower_bound(p, b - 1 + params.tail_terms)
+            # factors i = b_m-1 .. b_m-2+TAIL_TERMS, then the bounded tail
+            head = sin_ratio_product(p, 2, 1, b, b - 1 + TAIL_TERMS)
+            lower = head * _tail_lower_bound(p, b - 1 + TAIL_TERMS)
             checks.append(
                 ConditionCheck(
                     m,

@@ -79,6 +79,11 @@ def test_weyl_average_matches_oracle():
         (Fraction(13, 64), 2, -1, 50),
         (Fraction(1, 7), 10, 5, 30),
         (0.3, 2, 3, 25),
+        # past 2**64 the float phases still round once per term; the large
+        # |t| stresses the 2*pi*|t|*2**-52 bound
+        (Fraction(7**320, 4**300 * 3**200), 3, 7, 60),
+        (Fraction(7**320, 4**300 * 3**200), 5, 10**5, 40),
+        (Fraction(1, 7), 10, -(10**5), 30),
     ]
     for x, b, t, n in cases:
         assert cmath.isclose(weyl_average(x, b, t, n), _oracle_weyl(x, b, t, n), abs_tol=1e-9)
@@ -104,7 +109,7 @@ def test_weyl_report_matches_per_t_averages():
     for t in range(1, 21):
         assert cmath.isclose(report.averages[t], weyl_average(x, b, t, n), abs_tol=1e-9)
     assert report.max_modulus <= 1 + 1e-12
-    # float x takes the scalar path; same contract
+    # float x has a 2**54 denominator and takes the phase path; same contract
     small = weyl_report(0.3, 2, 4, 40)
     for t in range(1, 5):
         assert cmath.isclose(small.averages[t], weyl_average(0.3, 2, t, 40), abs_tol=1e-9)
@@ -197,10 +202,13 @@ def test_a_m_matches_naive_oracle():
         Schedule((2, 3, 5, 2), ScaledGrowth(4, 2)),
         Schedule((3, 2, 3, 4), TableGrowth((2, 4, 7, 11, 16))),
     ]
+    big_den = 4**300 * 3**200  # past 2**64
+    big_rng = random.Random(12)
     for sched in scheds:
         for m in range(1, len(sched) + 1):
-            for _ in range(3):
-                x = Fraction(rng.randrange(1, 5000), 5003)
+            xs = [Fraction(rng.randrange(1, 5000), 5003) for _ in range(3)]
+            xs.append(Fraction(big_rng.randrange(1, big_den), big_den))
+            for x in xs:
                 fast = a_m(x, m, sched)
                 slow = a_m_naive(x, m, sched)
                 assert fast == pytest.approx(slow, abs=1e-9, rel=1e-9)
