@@ -43,7 +43,6 @@ from fsdim.constructor import (
     run_construction,
     select_step,
     sigma_element,
-    write_monitor_summary,
     write_trace_csv,
 )
 from fsdim.discrepancy import (

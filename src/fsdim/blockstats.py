@@ -86,14 +86,14 @@ class BlockCounter:
     queries are O(1) thanks to a running sum of c*ln(c) per length.
     """
 
-    def __init__(self, base: int, l_max: int, limit: int = BLOCK_SPACE_LIMIT):
+    def __init__(self, base: int, l_max: int):
         if base < 2:
             raise ValueError(f"base must be at least 2, got {base}")
         if l_max < 1:
             raise ValueError(f"l_max must be positive, got {l_max}")
-        if base**l_max > limit:
+        if base**l_max > BLOCK_SPACE_LIMIT:
             raise ValueError(
-                f"{base}^{l_max} blocks exceed the tracking limit {limit}"
+                f"{base}^{l_max} blocks exceed the tracking limit {BLOCK_SPACE_LIMIT}"
             )
         self.base = base
         self.l_max = l_max
@@ -194,9 +194,9 @@ def _packed_key_array(digits: np.ndarray, base: int, l: int) -> np.ndarray:
     return keys
 
 
-def block_counts(w: DigitWord, l: int, limit: int = BLOCK_SPACE_LIMIT) -> BlockDistribution:
+def block_counts(w: DigitWord, l: int) -> BlockDistribution:
     """Distribution of length-l blocks of w (vectorized batch count)."""
-    _validate_block_args(w, l, limit)
+    _validate_block_args(w, l)
     base = w.base
     arr = np.asarray(w.digits, dtype=np.int64)
     keys, counts = np.unique(_packed_key_array(arr, base, l), return_counts=True)
@@ -204,9 +204,9 @@ def block_counts(w: DigitWord, l: int, limit: int = BLOCK_SPACE_LIMIT) -> BlockD
     return BlockDistribution(base, l, mapping, len(w) - l + 1)
 
 
-def block_entropy(w: DigitWord, l: int, limit: int = BLOCK_SPACE_LIMIT) -> float:
+def block_entropy(w: DigitWord, l: int) -> float:
     """Normalized block entropy H_l of the whole word (batch evaluation)."""
-    _validate_block_args(w, l, limit)
+    _validate_block_args(w, l)
     arr = np.asarray(w.digits, dtype=np.int64)
     counts = np.bincount(_packed_key_array(arr, w.base, l))
     c = counts[counts > 0].astype(np.float64)
@@ -214,13 +214,13 @@ def block_entropy(w: DigitWord, l: int, limit: int = BLOCK_SPACE_LIMIT) -> float
     return _entropy_from_sums(float((c * np.log(c)).sum()), total, l, w.base)
 
 
-def _validate_block_args(w: DigitWord, l: int, limit: int) -> None:
+def _validate_block_args(w: DigitWord, l: int) -> None:
     if l < 1:
         raise ValueError(f"block length must be positive, got {l}")
     if l > len(w):
         raise ValueError(f"block length {l} exceeds word length {len(w)}")
-    if w.base**l > limit:
-        raise ValueError(f"{w.base}^{l} blocks exceed the tracking limit {limit}")
+    if w.base**l > BLOCK_SPACE_LIMIT:
+        raise ValueError(f"{w.base}^{l} blocks exceed the tracking limit {BLOCK_SPACE_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,7 @@ class EntropyProfile:
                     fh.write(f"{n},{l},{self.table[(l, n)]:.12g}\n")
 
 
-def entropy_profile(
-    w: DigitWord, l_max: int, checkpoints: Sequence[int], limit: int = BLOCK_SPACE_LIMIT
-) -> EntropyProfile:
+def entropy_profile(w: DigitWord, l_max: int, checkpoints: Sequence[int]) -> EntropyProfile:
     """H_l at every checkpoint prefix, in one streaming pass."""
     cps = sorted(set(int(n) for n in checkpoints))
     if not cps:
@@ -254,7 +252,7 @@ def entropy_profile(
         raise ValueError(f"checkpoints must be positive, got {cps[0]}")
     if cps[-1] > len(w):
         raise ValueError(f"checkpoint {cps[-1]} beyond word length {len(w)}")
-    counter = BlockCounter(w.base, l_max, limit)
+    counter = BlockCounter(w.base, l_max)
     table: dict[tuple[int, int], float] = {}
     pending = iter(cps)
     target = next(pending)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import random
 from dataclasses import asdict, dataclass, field, replace
@@ -40,6 +39,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 from .base_arith import DigitWord, Rational, as_unit, atomic_write_text, digits_prefix
 from .blockstats import BlockCounter
 from .discrepancy import (
+    DEFAULT_N,
     DiscrepancyParams,
     FilterGiveUp,
     low_discrepancy_test,
@@ -47,7 +47,6 @@ from .discrepancy import (
 )
 from .expsum import a_m, weyl_max_from_digits
 from .schedule import (
-    GoodSequenceParams,
     Schedule,
     StagePlan,
     angle_base,
@@ -56,6 +55,7 @@ from .schedule import (
 )
 
 __all__ = [
+    "EXHAUSTIVE_LIMIT",
     "L_CAP",
     "WEYL_T_RANGE",
     "ConditionVerdict",
@@ -81,7 +81,6 @@ __all__ = [
     "sigma_element",
     "sigma_element_at",
     "weyl_max_from_digits",
-    "write_monitor_summary",
     "write_trace_csv",
 ]
 
@@ -188,15 +187,13 @@ def sigma_element(lam: Rational, m: int, sched: Schedule, block: DigitWord) -> F
 # per-step block selection
 
 
+# Largest candidate space ExhaustiveSearch enumerates.
+EXHAUSTIVE_LIMIT = 200_000
+
+
 @dataclass(frozen=True)
 class ExhaustiveSearch:
     """Enumerate every block over the step alphabet, in lexicographic order."""
-
-    limit: int = 200_000
-
-    def __post_init__(self) -> None:
-        if self.limit < 1:
-            raise ValueError(f"limit must be positive, got {self.limit}")
 
 
 @dataclass(frozen=True)
@@ -242,11 +239,10 @@ def _candidate_words(
     disc: DiscrepancyParams,
 ):
     if isinstance(mode, ExhaustiveSearch):
-        total = alphabet**width
-        if total > mode.limit:
+        if alphabet**width > EXHAUSTIVE_LIMIT:
             raise ValueError(
                 f"{alphabet}**{width} candidates exceed the exhaustive "
-                f"limit {mode.limit}; use SampledSearch"
+                f"limit {EXHAUSTIVE_LIMIT}; use SampledSearch"
             )
         for digits in iter_product(range(alphabet), repeat=width):
             word = DigitWord(alphabet, digits)
@@ -279,17 +275,16 @@ def select_step(
     mode: SearchMode,
     disc: DiscrepancyParams,
     plan: Optional[StagePlan] = None,
-    alphabet: Optional[int] = None,
     objective_fn: Optional[Callable[[Fraction], float]] = None,
     t_cap: Optional[int] = None,
 ) -> StepChoice:
     """Pick the step-m block minimizing the cross-base objective.
 
     criterion 1 draws blocks over the restricted alphabet p(u(m))
-    (``plan`` supplies it unless ``alphabet`` overrides), criterion 2
-    over the full alphabet u(m).  Candidates shorter than the filter
-    threshold pass vacuously.  Ties in the objective go to the
-    lexicographically smallest block, so reruns are reproducible.
+    (``plan`` supplies it), criterion 2 over the full alphabet u(m).
+    Candidates no longer than the filter threshold DEFAULT_N pass
+    vacuously.  Ties in the objective go to the lexicographically
+    smallest block, so reruns are reproducible.
     ``objective_fn`` replaces the default objective (used by tests).
     """
     if criterion not in (1, 2):
@@ -299,17 +294,16 @@ def select_step(
     width = b_pos - a_pos - 2
     if width < 1:
         raise ValueError(f"step {m} opens no digit positions")
-    if alphabet is None:
-        if criterion == 2:
-            alphabet = u
-        else:
-            if plan is None:
-                raise ValueError("criterion 1 needs a plan for the restricted alphabet")
-            alphabet = plan.p_of(u)
+    if criterion == 2:
+        alphabet = u
+    elif plan is None:
+        raise ValueError("criterion 1 needs a plan for the restricted alphabet")
+    else:
+        alphabet = plan.p_of(u)
     if not 2 <= alphabet <= u:
         raise ValueError(f"alphabet {alphabet} unusable in base {u}")
 
-    vacuous = width <= disc.n_for(alphabet)
+    vacuous = width <= DEFAULT_N
     # the objective is identically zero while every scheduled base is
     # equivalent, so scoring reduces to taking the lexicographic minimum
     trivial = objective_fn is None and all(
@@ -612,16 +606,7 @@ def second_substage_done(
                 vacuous=True, detail="plan stops before stage k+1",
             )
         else:
-            ext = sched.extended(w)
-            bases = set(ext.u)
-            thresholds = {b: params.disc.n_for(b) for b in bases}
-            thresholds.update({plan.p_of(b): params.disc.n_for(plan.p_of(b)) for b in bases})
-            report = validate_good_sequence(
-                ext,
-                plan.alpha,
-                GoodSequenceParams(plan=plan, n_thresholds=thresholds),
-                m_max=m + 1,
-            )
+            report = validate_good_sequence(sched.extended(w), plan, m_max=m + 1)
             failed = report.failures()
             yield ConditionVerdict(
                 name="good-extension", passed=report.ok, measured=float(len(failed)),
@@ -747,7 +732,6 @@ def run_construction(
         reached |= {w, plan.p_of(w)}
     for b in sorted(reached):
         params.disc.c_for(b)
-        params.disc.n_for(b)
 
     xi = Fraction(0)
     u: list[int] = []
@@ -994,11 +978,3 @@ def monitor_summary(
             str(k): [asdict(r) for r in verdicts] for k, verdicts in requirements.items()
         }
     return summary
-
-
-def write_monitor_summary(
-    trace: ConstructionTrace,
-    path,
-    requirements: Optional[Mapping[int, Sequence[RequirementVerdict]]] = None,
-) -> None:
-    atomic_write_text(path, json.dumps(monitor_summary(trace, requirements), indent=2))

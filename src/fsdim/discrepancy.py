@@ -2,10 +2,13 @@
 
 A word w over base b is "good" when every short block's occurrence count in
 every long-enough prefix stays within C_b * sqrt(log log n) / sqrt(n) of the
-uniform frequency b^-|z|. The constants C_b are not derivable in closed form;
-they are produced by the Monte-Carlo calibration routine below and persisted
-in a plain-text config. At the calibrated values, at least about half of all
-uniform random words pass, so rejection sampling of good words stays cheap.
+uniform frequency b^-|z|. "Long enough" means n >= DEFAULT_N and "short"
+means |z| <= Z_LEN_CAP, both module constants shared by every base, so the
+per-base constants C_b are the filter's whole configuration. They are not
+derivable in closed form; they are produced by the Monte-Carlo calibration
+routine below and persisted in a plain-text config. At the calibrated values,
+at least about half of all uniform random words pass, so rejection sampling
+of good words stays cheap.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from fsdim.blockstats import BlockCounter
 __all__ = [
     "DEFAULT_C",
     "DEFAULT_N",
+    "MAX_ATTEMPTS",
+    "Z_LEN_CAP",
     "DiscrepancyParams",
     "FilterGiveUp",
     "WordTooShortError",
@@ -38,15 +43,15 @@ __all__ = [
 
 
 class WordTooShortError(ValueError):
-    """Word no longer than N_b: the filter's quantifier range is empty."""
+    """Word no longer than DEFAULT_N: the filter's quantifier range is empty."""
 
 
 class FilterGiveUp(RuntimeError):
     """No sampled word passed the filter; the constants look miscalibrated."""
 
 
-# Calibrated by `calibrate(base, seed=0)` at word length 2000, N_b = 50,
-# target pass rate 0.6 (see that function); regenerate via the CLI.
+# Calibrated by `calibrate(base, seed=0)` at word length 2000, target pass
+# rate 0.6 (see that function); regenerate via the CLI.
 DEFAULT_C: dict[int, float] = {
     2: 0.978628625153,
     3: 0.906004327706,
@@ -54,50 +59,40 @@ DEFAULT_C: dict[int, float] = {
     5: 0.843014920463,
     6: 0.802733884088,
 }
+# Shortest prefix the frequency bound applies to (N_b, the same for every base).
 DEFAULT_N = 50
-
-
-def _lookup(table: Mapping[int, float], base: int, what: str):
-    if base not in table:
-        covered = ", ".join(str(b) for b in sorted(table))
-        raise ValueError(f"no {what} for base {base} (constants exist for bases {covered})")
-    return table[base]
+# Longest block whose frequencies the filter checks.
+Z_LEN_CAP = 6
+# Draws sample_good_string makes before giving up.
+MAX_ATTEMPTS = 64
 
 
 @dataclass(frozen=True)
 class DiscrepancyParams:
-    """Per-base filter constants plus the block-length cap."""
+    """Per-base filter constants C_b."""
 
     c: Mapping[int, float]
-    n_min: Mapping[int, int]
-    z_len_cap: int = 6
 
     @classmethod
     def default(cls) -> "DiscrepancyParams":
-        return cls(dict(DEFAULT_C), {b: DEFAULT_N for b in DEFAULT_C})
+        return cls(dict(DEFAULT_C))
 
     def c_for(self, base: int) -> float:
-        return _lookup(self.c, base, "filter constant C")
+        if base not in self.c:
+            covered = ", ".join(str(b) for b in sorted(self.c))
+            raise ValueError(
+                f"no filter constant C for base {base} (constants exist for bases {covered})")
+        return self.c[base]
 
-    def n_for(self, base: int) -> int:
-        return _lookup(self.n_min, base, "N threshold")
-
-    def with_base(self, base: int, c: float, n_min: int) -> "DiscrepancyParams":
-        cs = dict(self.c)
-        ns = dict(self.n_min)
-        cs[base] = c
-        ns[base] = n_min
-        return DiscrepancyParams(cs, ns, self.z_len_cap)
+    def with_base(self, base: int, c: float) -> "DiscrepancyParams":
+        return DiscrepancyParams({**self.c, base: c})
 
     def write_config(self, path: Union[str, os.PathLike]) -> None:
         cp = configparser.ConfigParser()
-        cp.optionxform = str  # keep C_2 / N_2 capitalization
+        cp.optionxform = str  # keep C_2 capitalization
         cp.add_section("discrepancy")
         for base in sorted(self.c):
             cp.set("discrepancy", f"C_{base}", f"{self.c[base]:.12g}")
-        for base in sorted(self.n_min):
-            cp.set("discrepancy", f"N_{base}", str(self.n_min[base]))
-        cp.set("discrepancy", "z_len_cap", str(self.z_len_cap))
         buf = io.StringIO()
         cp.write(buf)
         atomic_write_text(path, buf.getvalue())
@@ -111,18 +106,11 @@ class DiscrepancyParams:
         if not cp.has_section("discrepancy"):
             raise ValueError(f"{path}: missing [discrepancy] section")
         c: dict[int, float] = {}
-        n_min: dict[int, int] = {}
-        cap = 6
         for key, value in cp.items("discrepancy"):
-            if key.startswith("C_"):
-                c[int(key[2:])] = float(value)
-            elif key.startswith("N_"):
-                n_min[int(key[2:])] = int(value)
-            elif key == "z_len_cap":
-                cap = int(value)
-            else:
+            if not key.startswith("C_"):
                 raise ValueError(f"{path}: unknown key {key!r}")
-        return cls(c, n_min, cap)
+            c[int(key[2:])] = float(value)
+        return cls(c)
 
 
 def star_discrepancy(points: Iterable[Union[float, Fraction]]) -> float:
@@ -161,27 +149,25 @@ def _deviation_threshold(c: float, n: int) -> float:
     return c * math.sqrt(math.log(math.log(n))) / math.sqrt(n)
 
 
-def _extremal_deviations(
-    word: DigitWord, n_min: int, z_len_cap: int
-) -> Iterator[tuple[int, float]]:
-    """Yield (n, dev) for every prefix length n >= n_min that a block still fits.
+def _extremal_deviations(word: DigitWord) -> Iterator[tuple[int, float]]:
+    """Yield (n, dev) for every prefix length n >= DEFAULT_N that a block still fits.
 
     dev is the largest of max_count/n - b^-l and b^-l - min_count/n over
-    the block lengths 1 <= l <= min(|w| - n_min, z_len_cap) with
+    the block lengths 1 <= l <= min(|w| - DEFAULT_N, Z_LEN_CAP) with
     n <= |w| - l.  Only the extremal counts can break the two-sided
     frequency bound, so one streaming pass serves every prefix.
     """
     base, total = word.base, len(word)
-    if total <= n_min:
-        raise WordTooShortError(f"word length {total} does not exceed N_{base} = {n_min}")
-    l_max = min(total - n_min, z_len_cap)
+    if total <= DEFAULT_N:
+        raise WordTooShortError(f"word length {total} does not exceed N_{base} = {DEFAULT_N}")
+    l_max = min(total - DEFAULT_N, Z_LEN_CAP)
     counter = BlockCounter(base, l_max)
     max_count, min_count = counter.max_count, counter.min_count
     inv = [0.0] + [base**-l for l in range(1, l_max + 1)]
     # the full word (n = total) leaves no room for any block, so it is not read
     for n, d in enumerate(word.digits[:-1], start=1):
         counter.push(d)
-        if n < n_min:
+        if n < DEFAULT_N:
             continue
         dev = -math.inf
         for l in range(1, min(l_max, total - n) + 1):
@@ -198,23 +184,21 @@ def low_discrepancy_test(word: DigitWord, params: DiscrepancyParams) -> bool:
     """Whether every block length and every prefix meet the frequency bound.
 
     Checks |N(z, w_1^n)/n - b^-|z|| < C_b sqrt(log log n)/sqrt(n) for all
-    blocks z with 1 <= |z| <= min(|w| - N_b, z_len_cap) and all prefixes
-    n with N_b <= n <= |w| - |z|, stopping at the first prefix that fails.
+    blocks z with 1 <= |z| <= min(|w| - DEFAULT_N, Z_LEN_CAP) and all
+    prefixes n with DEFAULT_N <= n <= |w| - |z|, stopping at the first
+    prefix that fails.
     """
     c = params.c_for(word.base)
-    n_min = params.n_for(word.base)
-    for n, dev in _extremal_deviations(word, n_min, params.z_len_cap):
+    for n, dev in _extremal_deviations(word):
         if dev >= _deviation_threshold(c, n):
             return False
     return True
 
 
-def discrepancy_statistic(
-    word: DigitWord, n_min: int, z_len_cap: int = 6
-) -> float:
+def discrepancy_statistic(word: DigitWord) -> float:
     """Smallest C that this word passes (sup of deviation / threshold shape)."""
     stat = 0.0
-    for n, dev in _extremal_deviations(word, n_min, z_len_cap):
+    for n, dev in _extremal_deviations(word):
         scale = math.sqrt(n) / math.sqrt(math.log(math.log(n)))
         if dev * scale > stat:
             stat = dev * scale
@@ -226,16 +210,15 @@ def sample_good_string(
     length: int,
     rng_seed,
     params: DiscrepancyParams,
-    max_attempts: int = 64,
 ) -> DigitWord:
     """Rejection-sample a uniform word until it passes the filter."""
     rng = random.Random(rng_seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         word = DigitWord(base, tuple(rng.randrange(base) for _ in range(length)))
         if low_discrepancy_test(word, params):
             return word
     raise FilterGiveUp(
-        f"no base-{base} word of length {length} passed after {max_attempts} draws"
+        f"no base-{base} word of length {length} passed after {MAX_ATTEMPTS} draws"
     )
 
 
@@ -243,10 +226,8 @@ def calibrate(
     base: int,
     *,
     length: int = 2000,
-    n_min: int = DEFAULT_N,
     samples: int = 200,
     target: float = 0.6,
-    z_len_cap: int = 6,
     seed: int = 0,
 ) -> float:
     """Monte-Carlo estimate of the smallest C_base with pass rate >= target.
@@ -263,6 +244,6 @@ def calibrate(
     stats = []
     for _ in range(samples):
         word = DigitWord(base, tuple(rng.randrange(base) for _ in range(length)))
-        stats.append(discrepancy_statistic(word, n_min, z_len_cap))
+        stats.append(discrepancy_statistic(word))
     stats.sort()
     return stats[min(samples - 1, int(round(target * samples)))]

@@ -185,39 +185,16 @@ def certificate_gamma(eps: float) -> float:
     return eps * eps / (32.0 * certificate_t_range(eps))
 
 
-def weyl_entropy_certificate(
-    x: Real,
-    b: int,
-    eps: float,
-    n: int,
-    l: int = 1,
-    safety: float = 1.0,
-) -> tuple[bool, WeylReport]:
+def weyl_entropy_certificate(x: Real, b: int, eps: float, n: int) -> tuple[bool, WeylReport]:
     """Digit-uniformity certificate from small Weyl averages.
 
     Passes iff |average(t)| < gamma'(eps) for every 0 < |t| <= T'(eps)
     over the length-n prefix orbit (conjugation covers negative t).  A
     pass guarantees every single-digit frequency in the first n
     base-b digits of x is within eps of 1/b.
-
-    l > 1 is a heuristic extension: the same test runs on the base
-    b**l orbit (aligned l-blocks, n // l of them) with eps shrunk by
-    the safety factor.  Nothing in the l > 1 verdict is backed by the
-    single-digit argument; treat it as a screening tool.
     """
-    if l < 1:
-        raise ValueError(f"need l >= 1, got {l}")
-    if safety < 1.0:
-        raise ValueError(f"safety factor must be >= 1, got {safety}")
-    base_eff = b ** l
-    eps_eff = eps / safety if l > 1 else eps
-    n_eff = n // l if l > 1 else n
-    if n_eff < 1:
-        raise ValueError(f"prefix length {n} too short for block length {l}")
-    t_max = certificate_t_range(eps_eff)
-    gamma = certificate_gamma(eps_eff)
-    report = weyl_report(x, base_eff, t_max, n_eff)
-    return report.max_modulus < gamma, report
+    report = weyl_report(x, b, certificate_t_range(eps), n)
+    return report.max_modulus < certificate_gamma(eps), report
 
 
 def a_m(

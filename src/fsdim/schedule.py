@@ -10,7 +10,8 @@ base-u(m) expansion.  The positions derive from a growth function
 This module owns that arithmetic, the equivalence relation "r and s
 are powers of a common base", the fixed enumeration of class
 representatives, per-class target entropies (the stage plan), and the
-good-sequence validator.
+good-sequence validator, whose block-length condition compares against
+the filter's prefix threshold discrepancy.DEFAULT_N.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .discrepancy import DEFAULT_N
 
@@ -42,7 +43,6 @@ __all__ = [
     "StagePlan",
     "parse_plan",
     "read_plan_file",
-    "GoodSequenceParams",
     "ConditionCheck",
     "GoodSequenceReport",
     "validate_good_sequence",
@@ -505,24 +505,6 @@ TAIL_TERMS = 200  # factors kept of condition 1's sine products; see _tail_lower
 
 
 @dataclass(frozen=True)
-class GoodSequenceParams:
-    """Knobs for validate_good_sequence.
-
-    plan supplies p(b) and, through its alpha table, the beta values.
-    n_thresholds maps base -> N_b(1/2), the word length beyond which
-    the low-discrepancy bound of that base is considered active;
-    condition 4 compares block lengths against these.  Bases missing
-    from n_thresholds use the filter's DEFAULT_N.
-    """
-
-    plan: StagePlan
-    n_thresholds: Mapping[int, int] = field(default_factory=dict)
-
-    def n_for(self, base: int) -> int:
-        return int(self.n_thresholds.get(base, DEFAULT_N))
-
-
-@dataclass(frozen=True)
 class ConditionCheck:
     m: int
     condition: int
@@ -553,13 +535,10 @@ def _tail_lower_bound(p: int, i_start: int) -> float:
     return max(0.0, 1.0 - deficit)
 
 
-def validate_good_sequence(
-    sched: Schedule,
-    alpha: AlphaTable,
-    params: GoodSequenceParams,
-    m_max: int,
-) -> GoodSequenceReport:
+def validate_good_sequence(sched: Schedule, plan: StagePlan, m_max: int) -> GoodSequenceReport:
     """Check the four good-sequence conditions for m = 1 .. m_max.
+
+    plan supplies p(b) and, through its alpha table, the beta values.
 
     Condition 1 (m > 1): the tail product of sine ratios at argument
     1/2**(i+1), i >= b_m - 1, with multiplier p(u(m)) stays above the
@@ -569,7 +548,8 @@ def validate_good_sequence(
     Condition 2: beta_m >= beta_1 / m**(1/4) using the alpha table.
     Condition 3: u(m) <= u(1)*m, exact.
     Condition 4: after any earlier step with a different base,
-    b_m - a_m >= max(N_{u(m)}(1/2), N_{p(u(m))}(1/2)).
+    b_m - a_m >= DEFAULT_N, the filter's threshold N_b(1/2), which is
+    the same for u(m) and p(u(m)).
     """
     from .expsum import eta_constant, sin_ratio_product
 
@@ -577,12 +557,13 @@ def validate_good_sequence(
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     if m_max > len(sched):
         raise ValueError(f"m_max={m_max} exceeds schedule length {len(sched)}")
+    alpha = plan.alpha
     eta = eta_constant(TAIL_TERMS)
     checks: list[ConditionCheck] = []
     beta_1 = beta_m(sched, alpha, 1)
     for m in range(1, m_max + 1):
         u_m = sched.base(m)
-        p = params.plan.p_of(u_m)
+        p = plan.p_of(u_m)
         if m > 1:
             b = sched.b(m)
             # factors i = b_m-1 .. b_m-2+TAIL_TERMS, then the bounded tail
@@ -605,10 +586,9 @@ def validate_good_sequence(
         checks.append(ConditionCheck(m, 3, cond3, f"u(m)={u_m}, cap={sched.base(1) * m}"))
         switched = any(sched.base(i) != u_m for i in range(1, m))
         if switched:
-            need = max(params.n_for(u_m), params.n_for(p))
             got = sched.b(m) - sched.a(m)
             checks.append(
-                ConditionCheck(m, 4, got >= need, f"b_m-a_m={got}, threshold={need}")
+                ConditionCheck(m, 4, got >= DEFAULT_N, f"b_m-a_m={got}, threshold={DEFAULT_N}")
             )
         else:
             checks.append(ConditionCheck(m, 4, True, "no earlier base switch"))

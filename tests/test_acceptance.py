@@ -5,7 +5,6 @@ asserts the same condition, so `pytest -v` shows one verdict per
 criterion.  Tolerances are part of the contract; do not loosen them.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -15,33 +14,27 @@ import pytest
 
 from fsdim.base_arith import DigitWord, digits_prefix, frac_of_scaled, value_of_word
 from fsdim.blockstats import BlockCounter
+from fsdim.cli import _suite_am_oracle, _suite_discrepancy_oracle, _suite_sin_bound, _suite_viete
 from fsdim.constructor import (
     ConstructionParams,
     SampledSearch,
     run_construction,
 )
-from fsdim.discrepancy import (
-    DiscrepancyParams,
-    calibrate,
-    low_discrepancy_test,
-    star_discrepancy,
-    star_discrepancy_brute,
-)
-from fsdim.expsum import (
-    a_m,
-    a_m_naive,
-    certificate_gamma,
-    certificate_t_range,
-    check_sin_lower_bound,
-    eta_constant,
-    weyl_entropy_certificate,
-)
-from fsdim.schedule import ScaledGrowth, Schedule, StagePlan
+from fsdim.discrepancy import DEFAULT_N, DiscrepancyParams, calibrate, low_discrepancy_test
+from fsdim.expsum import certificate_gamma, certificate_t_range, weyl_entropy_certificate
+from fsdim.schedule import ScaledGrowth, StagePlan
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {number}: {detail}"
+
+
+def _suite_verdict(number: int, checks) -> None:
+    # the lemma checks shared with `fsdim verify`; each suite holds one check
+    # whose bound is the criterion's
+    (label, ok, detail), = checks
+    _verdict(number, ok, f"{label}: {detail}")
 
 
 def test_criterion_01_entropy_dilution():
@@ -68,22 +61,13 @@ def test_criterion_02_full_entropy_baseline():
 
 
 def test_criterion_03_viete_product():
-    err = abs(eta_constant(40) - 2.0 / math.pi)
-    ok = err < 1e-8
-    _verdict(3, ok, f"|prod_40 cos(pi/2^(i+1)) - 2/pi| = {err:.2e} < 1e-8")
+    # |prod_40 cos(pi/2^(i+1)) - 2/pi| < 1e-8
+    _suite_verdict(3, _suite_viete())
 
 
 def test_criterion_04_sine_lower_bound_sweep():
-    rng = random.Random(4)
-    violations = 0
-    for _ in range(10**4):
-        n = rng.randint(2, 50)
-        x = rng.uniform(-0.999999, 0.999999)
-        if not check_sin_lower_bound(n, x):
-            violations += 1
-    ok = violations == 0
-    _verdict(4, ok, f"{violations} violations in 10^4 samples of"
-                    " sin(nx)/(n sin x) >= 1 - (n^2-1)x^2/6")
+    # no violation of sin(nx)/(n sin x) >= 1 - (n^2-1)x^2/6 in 10^4 draws
+    _suite_verdict(4, _suite_sin_bound(4))
 
 
 def test_criterion_05_exact_fractional_reduction():
@@ -129,27 +113,13 @@ def test_criterion_06_streaming_count_oracle():
 
 
 def test_criterion_07_star_discrepancy_oracle():
-    rng = random.Random(7)
-    worst = 0.0
-    for _ in range(100):
-        n = rng.randint(1, 200)
-        pts = [Fraction(rng.randint(0, 10**6 - 1), 10**6) for _ in range(n)]
-        worst = max(worst, abs(star_discrepancy(pts) - star_discrepancy_brute(pts)))
-    ok = worst <= 1e-12
-    _verdict(7, ok, f"max |sorted-formula - brute| = {worst:.2e} over 100 sets")
+    # max |sorted-formula - brute| <= 1e-12 over 100 point sets
+    _suite_verdict(7, _suite_discrepancy_oracle(7))
 
 
 def test_criterion_08_objective_oracle():
-    rng = random.Random(8)
-    worst = 0.0
-    for _ in range(50):
-        m = rng.randint(1, 6)
-        bases = tuple(rng.choice((2, 3, 4, 5)) for _ in range(m))
-        sched = Schedule(bases, ScaledGrowth(8, 4))
-        x = Fraction(rng.randint(0, 2**40 - 1), 2**40)
-        worst = max(worst, abs(a_m(x, m, sched) - a_m_naive(x, m, sched)))
-    ok = worst <= 1e-9
-    _verdict(8, ok, f"max |incremental - naive| = {worst:.2e} over 50 instances")
+    # max |a_m - a_m_naive| <= 1e-9 over 50 instances at x = k/2^40
+    _suite_verdict(8, _suite_am_oracle(8))
 
 
 def test_criterion_09_construction_mechanics():
@@ -175,7 +145,7 @@ def test_criterion_09_construction_mechanics():
     disc = params.disc
     for step in trace.steps:
         if step.filter_vacuous:
-            assert len(step.digit_block) <= disc.n_for(step.digit_block.base)
+            assert len(step.digit_block) <= DEFAULT_N
         else:
             assert low_discrepancy_test(step.digit_block, disc)
 
@@ -251,8 +221,8 @@ def test_criterion_10_weyl_certificate_soundness():
 
 
 def test_criterion_11_filter_density():
-    c2 = calibrate(2, length=2000, n_min=50, samples=200, target=0.6, seed=11)
-    disc = DiscrepancyParams.default().with_base(2, c2, 50)
+    c2 = calibrate(2, length=2000, samples=200, target=0.6, seed=11)
+    disc = DiscrepancyParams.default().with_base(2, c2)
     rng = random.Random(1100)
     passes = 0
     total = 200

@@ -183,6 +183,35 @@ def test_verify_all_suites_pass(capsys):
         assert f"PASS {suite}" in out
 
 
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def _two_has_full_order(p):
+    # the powers 2^1 .. 2^(p-2) mod p never return to 1
+    r = 1
+    for _ in range(p - 2):
+        r = r * 2 % p
+        if r == 1:
+            return False
+    return True
+
+
+def test_verify_certificate_prime_is_first_with_primitive_root_two(capsys):
+    from fsdim.cli import _CERTIFICATE_PRIME
+    from fsdim.expsum import certificate_gamma
+
+    assert _CERTIFICATE_PRIME == 32771
+    assert _is_prime_by_trial_division(32771)
+    assert _two_has_full_order(32771)
+    start = int(1 / certificate_gamma(0.5)) + 2
+    assert start < 32771
+    assert not any(_is_prime_by_trial_division(d) and _two_has_full_order(d)
+                   for d in range(start, 32771))
+    assert main(["verify", "weyl-certificate"]) == 0
+    assert "D=32771 " in capsys.readouterr().out
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nope"]) == 2
     assert "unknown suite" in capsys.readouterr().err

@@ -31,7 +31,6 @@ from fsdim.constructor import (
     sigma_element,
     sigma_element_at,
     weyl_max_from_digits,
-    write_monitor_summary,
     write_trace_csv,
 )
 from fsdim.discrepancy import DiscrepancyParams, low_discrepancy_test
@@ -305,21 +304,22 @@ def test_select_step_rejects_bad_arguments():
     with pytest.raises(ValueError):  # p(2) = 1 is not a usable alphabet
         select_step(0, 1, Schedule((2,), TableGrowth((2, 7))), 1,
                     ExhaustiveSearch(), disc, plan)
-    with pytest.raises(ValueError):  # candidate space above the limit
-        select_step(0, 2, sched, 2, ExhaustiveSearch(limit=2), disc)
+    with pytest.raises(ValueError, match="exhaustive limit 200000"):
+        # 2**26 candidates, above EXHAUSTIVE_LIMIT
+        select_step(0, 1, Schedule((2,), TableGrowth((2, 30))), 2, ExhaustiveSearch(), disc)
 
 
 def test_select_step_no_candidate_error():
     # an absurdly tight filter rejects every block at this length
     sched = Schedule((2,), TableGrowth((2, 60)))
-    disc = DiscrepancyParams(c={2: 1e-9}, n_min={2: 10})
+    disc = DiscrepancyParams(c={2: 1e-9})
     with pytest.raises(NoCandidateError):
         select_step(0, 1, sched, 2, SampledSearch(4, 0), disc)
 
 
 def test_select_step_filter_applies_beyond_threshold():
-    sched = Schedule((2,), TableGrowth((2, 60)))  # width 56 > n_min = 10
-    disc = DiscrepancyParams.default().with_base(2, DiscrepancyParams.default().c_for(2), 10)
+    sched = Schedule((2,), TableGrowth((2, 60)))  # width 56 > DEFAULT_N = 50
+    disc = DiscrepancyParams.default()
     choice = select_step(0, 1, sched, 2, SampledSearch(8, 3), disc)
     assert not choice.filter_vacuous
     assert low_discrepancy_test(choice.digit_block, disc)
@@ -675,12 +675,10 @@ def test_trace_csv_round_trip(tmp_path):
     assert tuple(int(d) for d in first[7].split()) == step.digit_block.digits
 
 
-def test_monitor_summary_round_trip(tmp_path):
+def test_monitor_summary_round_trip():
     plan = StagePlan({2: Fraction(1, 2)}, growth=ScaledGrowth(8, 4))
     trace = run_construction(plan, 1, SampledSearch(4, 0), _fast_params())
-    path = tmp_path / "summary.json"
-    write_monitor_summary(trace, path, {1: check_requirements(trace, 1)})
-    data = json.loads(path.read_text())
+    data = json.loads(json.dumps(monitor_summary(trace, {1: check_requirements(trace, 1)})))
     assert data["stages"][0]["base"] == 4
     assert data["stages"][0]["second_check"]["done"] is True
     assert not data["budget_exhausted"]
@@ -785,7 +783,7 @@ def test_run_construction_rejects_unfiltered_bases_before_any_step(monkeypatch):
     with pytest.raises(ValueError, match="base 9"):
         run_construction(StagePlan({2: Fraction(1, 2), 3: Fraction(1, 2)}), 1)
     # covering base 9 makes the same plan acceptable up to the first step
-    disc = DiscrepancyParams.default().with_base(9, 0.8, 50)
+    disc = DiscrepancyParams.default().with_base(9, 0.8)
     with pytest.raises(AssertionError, match="before the plan"):
         run_construction(StagePlan({2: Fraction(1, 2), 3: Fraction(1, 2)}), 1,
                          params=ConstructionParams(disc=disc))

@@ -101,9 +101,9 @@ def test_filter_deviations_match_occurrence_count():
 def test_statistic_is_exact_pass_boundary():
     rng = random.Random(21)
     word = DigitWord(2, tuple(rng.randrange(2) for _ in range(300)))
-    stat = discrepancy_statistic(word, 50, 6)
-    below = DiscrepancyParams({2: stat * 0.999}, {2: 50})
-    above = DiscrepancyParams({2: stat * 1.001}, {2: 50})
+    stat = discrepancy_statistic(word)
+    below = DiscrepancyParams({2: stat * 0.999})
+    above = DiscrepancyParams({2: stat * 1.001})
     assert not low_discrepancy_test(word, below)
     assert low_discrepancy_test(word, above)
 
@@ -118,9 +118,9 @@ def test_sample_good_string_deterministic_and_passing():
 
 def test_sample_good_string_gives_up():
     # An absurdly small C admits no word at all.
-    params = DiscrepancyParams({2: 1e-9}, {2: 50})
-    with pytest.raises(FilterGiveUp):
-        sample_good_string(2, 100, 0, params, max_attempts=5)
+    params = DiscrepancyParams({2: 1e-9})
+    with pytest.raises(FilterGiveUp, match="after 64 draws"):
+        sample_good_string(2, 100, 0, params)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def test_sample_good_string_gives_up():
 def test_calibration_density_band():
     # Small but honest recalibration: pass rate on fresh words in [0.5, 0.95].
     c = calibrate(2, length=500, samples=60, seed=1)
-    params = DiscrepancyParams({2: c}, {2: 50})
+    params = DiscrepancyParams({2: c})
     rng = random.Random(999)
     passed = sum(
         low_discrepancy_test(
@@ -142,15 +142,14 @@ def test_calibration_density_band():
 
 
 def test_config_roundtrip(tmp_path):
-    params = DiscrepancyParams({2: 0.97, 4: 0.87}, {2: 50, 4: 60}, z_len_cap=5)
+    params = DiscrepancyParams({2: 0.97, 4: 0.87})
     path = tmp_path / "filter.cfg"
     params.write_config(path)
     text = path.read_text()
-    assert "[discrepancy]" in text and "C_2" in text and "N_4" in text
+    assert "[discrepancy]" in text and "C_2" in text and "C_4" in text
+    assert "N_" not in text and "z_len_cap" not in text
     back = DiscrepancyParams.read_config(path)
-    assert back.c == {2: 0.97, 4: 0.87}
-    assert back.n_min == {2: 50, 4: 60}
-    assert back.z_len_cap == 5
+    assert back == params
 
 
 def test_config_rejects_garbage(tmp_path):
@@ -161,9 +160,14 @@ def test_config_rejects_garbage(tmp_path):
     path.write_text("[other]\nC_2 = 1\n")
     with pytest.raises(ValueError):
         DiscrepancyParams.read_config(path)
+    # N_b and the block cap are module constants, not config keys
+    for key in ("N_2", "z_len_cap"):
+        path.write_text(f"[discrepancy]\nC_2 = 1\n{key} = 50\n")
+        with pytest.raises(ValueError, match="unknown key"):
+            DiscrepancyParams.read_config(path)
 
 
 def test_missing_base_is_an_error():
-    params = DiscrepancyParams({2: 1.0}, {2: 50})
+    params = DiscrepancyParams({2: 1.0})
     with pytest.raises(ValueError):
         params.c_for(7)

@@ -159,19 +159,6 @@ def test_certificate_passes_on_full_period_rational():
     assert report.max_modulus < gamma
 
 
-def test_certificate_block_heuristic():
-    D = 6547
-    passes, report = weyl_entropy_certificate(Fraction(1, D), 2, 0.75, D - 1, l=2)
-    assert report.base == 4
-    assert report.n == (D - 1) // 2
-    with pytest.raises(ValueError):
-        weyl_entropy_certificate(Fraction(1, D), 2, 0.75, D - 1, l=0)
-    with pytest.raises(ValueError):
-        weyl_entropy_certificate(Fraction(1, D), 2, 0.75, D - 1, l=2, safety=0.5)
-    with pytest.raises(ValueError):
-        weyl_entropy_certificate(Fraction(1, D), 2, 0.75, 1, l=2)
-
-
 # --- the step objective A_m ---------------------------------------------------
 
 

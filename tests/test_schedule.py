@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fsdim.schedule import (
     AlphaTable,
-    GoodSequenceParams,
     PaperGrowth,
     ScaledGrowth,
     Schedule,
@@ -428,8 +427,7 @@ def test_read_plan_file(tmp_path):
 def test_good_sequence_constant_base_passes():
     plan = StagePlan({2: 1}, PaperGrowth(2))
     sched = Schedule((2,) * 20, plan.growth)
-    params = GoodSequenceParams(plan=plan)
-    report = validate_good_sequence(sched, plan.alpha, params, 20)
+    report = validate_good_sequence(sched, plan, 20)
     assert report.ok
     assert report.m_max == 20
     # condition 4 is vacuous without a base switch
@@ -439,7 +437,7 @@ def test_good_sequence_constant_base_passes():
 def test_good_sequence_condition3_violation():
     plan = StagePlan({2: 1, 7: 1})
     sched = Schedule((2, 2, 7), plan.growth)
-    report = validate_good_sequence(sched, plan.alpha, GoodSequenceParams(plan=plan), 3)
+    report = validate_good_sequence(sched, plan, 3)
     failed = {(c.m, c.condition) for c in report.failures()}
     assert (3, 3) in failed  # u(3)=7 > u(1)*3 = 6
 
@@ -448,12 +446,12 @@ def test_good_sequence_condition4_violation_after_switch():
     # scaled growth keeps b_m - a_m far below the default threshold of 50
     plan = StagePlan({2: Fraction(1, 2), 3: 1})
     sched = Schedule((3, 4), plan.growth)
-    report = validate_good_sequence(sched, plan.alpha, GoodSequenceParams(plan=plan), 2)
+    report = validate_good_sequence(sched, plan, 2)
     failed = {(c.m, c.condition) for c in report.failures()}
     assert (2, 4) in failed
     # raising the block length via a coarser growth clears it
     big = Schedule((3, 4), ScaledGrowth(8, 2000))
-    report2 = validate_good_sequence(big, plan.alpha, GoodSequenceParams(plan=plan), 2)
+    report2 = validate_good_sequence(big, plan, 2)
     assert (2, 4) not in {(c.m, c.condition) for c in report2.failures()}
 
 
@@ -462,7 +460,7 @@ def test_good_sequence_condition2_violation():
     alpha = AlphaTable({(2, 3): 0.01})
     plan = StagePlan({2: 1, 3: 1}, ScaledGrowth(), alpha)
     sched = Schedule((2, 3), plan.growth)
-    report = validate_good_sequence(sched, alpha, GoodSequenceParams(plan=plan), 2)
+    report = validate_good_sequence(sched, plan, 2)
     failed = {(c.m, c.condition) for c in report.failures()}
     assert (2, 2) in failed
 
@@ -470,8 +468,7 @@ def test_good_sequence_condition2_violation():
 def test_good_sequence_validation_errors():
     plan = StagePlan({2: 1})
     sched = Schedule((2, 2), plan.growth)
-    params = GoodSequenceParams(plan=plan)
     with pytest.raises(ValueError):
-        validate_good_sequence(sched, plan.alpha, params, 0)
+        validate_good_sequence(sched, plan, 0)
     with pytest.raises(ValueError):
-        validate_good_sequence(sched, plan.alpha, params, 3)
+        validate_good_sequence(sched, plan, 3)
