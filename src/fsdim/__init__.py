@@ -27,6 +27,7 @@ from fsdim.blockstats import (
     entropy_profile,
     occurrence_count,
     occurrence_prob,
+    prefix_entropies,
 )
 from fsdim.constructor import (
     ConstructionParams,

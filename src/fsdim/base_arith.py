@@ -83,11 +83,6 @@ class DigitWord:
     def prefix(self, n: int) -> "DigitWord":
         return DigitWord(self.base, self.digits[:n])
 
-    def concat(self, other: "DigitWord") -> "DigitWord":
-        if other.base != self.base:
-            raise ValueError("cannot concatenate words over different bases")
-        return DigitWord(self.base, self.digits + other.digits)
-
     def as_int(self) -> int:
         """The word read as a base-``base`` integer (empty word is 0)."""
         value = 0

@@ -3,7 +3,9 @@
 Counts are over overlapping windows: a length-l block starting at every
 position 1..n-l+1 of a length-n word. Probabilities are exact rationals;
 only the final log-sum is evaluated in floating point, with natural logs
-normalized by l*ln(base) so values land in [0, 1].
+normalized by l*ln(base) so values land in [0, 1].  Entropies are read
+in batch, at one prefix or at many in one pass (:func:`prefix_entropies`);
+the streaming :class:`BlockCounter` serves the low-discrepancy filter.
 """
 
 from __future__ import annotations
@@ -28,10 +30,20 @@ __all__ = [
     "entropy_profile",
     "occurrence_count",
     "occurrence_prob",
+    "prefix_entropies",
 ]
 
 # Refuse alphabets with more than this many distinct blocks per length.
 BLOCK_SPACE_LIMIT = 1 << 24
+
+
+def _check_block_space(base: int, l: int) -> None:
+    if base < 2:
+        raise ValueError(f"base must be at least 2, got {base}")
+    if l < 1:
+        raise ValueError(f"block length must be positive, got {l}")
+    if base**l > BLOCK_SPACE_LIMIT:
+        raise ValueError(f"{base}^{l} blocks exceed the tracking limit {BLOCK_SPACE_LIMIT}")
 
 
 def occurrence_count(z: DigitWord, w: DigitWord) -> int:
@@ -62,45 +74,39 @@ class BlockDistribution:
     counts: Mapping[tuple[int, ...], int]
     window_total: int
 
-    def prob(self, z: DigitWord) -> Fraction:
-        if z.base != self.base or len(z) != self.block_len:
-            raise ValueError("block shape does not match distribution")
-        return Fraction(self.counts.get(z.digits, 0), self.window_total)
 
-
-def _entropy_from_sums(sum_c_ln_c: float, total: int, block_len: int, base: int) -> float:
+def _entropy_from_sums(
+    sum_c_ln_c: np.ndarray, totals: np.ndarray, block_len: int, base: int
+) -> np.ndarray:
     # H = (ln T - (sum c ln c)/T) / (l ln base); exact zero counts never enter.
-    if total <= 0:
+    # math.log rather than np.log: numpy's SIMD log may differ from libm's in
+    # the last bit, and seeded profiles and monitors must not move.
+    if totals.min() <= 0:
         raise ValueError("entropy needs at least one window")
-    h = (math.log(total) - sum_c_ln_c / total) / (block_len * math.log(base))
-    if not -1e-9 <= h <= 1 + 1e-9:
-        raise AssertionError(f"normalized entropy {h} escaped [0, 1]")
-    return min(1.0, max(0.0, h))
+    log_t = np.fromiter(map(math.log, totals), np.float64, totals.size)
+    h = (log_t - sum_c_ln_c / totals) / (block_len * math.log(base))
+    if not (h.min() >= -1e-9 and h.max() <= 1 + 1e-9):
+        raise AssertionError(f"normalized entropy {h.min()}..{h.max()} escaped [0, 1]")
+    return np.minimum(1.0, np.maximum(0.0, h))
 
 
 class BlockCounter:
-    """One-pass sliding counter for all block lengths up to l_max.
+    """The low-discrepancy filter's one-pass sliding counter.
 
-    Feed digits with :meth:`push`/:meth:`extend`; counts, entropies, and
-    extremal counts for every length are available at any prefix. Entropy
-    queries are O(1) thanks to a running sum of c*ln(c) per length.
+    The filter is the one reader that stops at the first failing prefix,
+    so it pushes digits one at a time with :meth:`push`/:meth:`extend` and
+    reads the extremal counts of every block length up to l_max after
+    each push.  Entropies of prefixes are read in batch by
+    :func:`prefix_entropies`.
     """
 
     def __init__(self, base: int, l_max: int):
-        if base < 2:
-            raise ValueError(f"base must be at least 2, got {base}")
-        if l_max < 1:
-            raise ValueError(f"l_max must be positive, got {l_max}")
-        if base**l_max > BLOCK_SPACE_LIMIT:
-            raise ValueError(
-                f"{base}^{l_max} blocks exceed the tracking limit {BLOCK_SPACE_LIMIT}"
-            )
+        _check_block_space(base, l_max)
         self.base = base
         self.l_max = l_max
         self.n = 0
         self._counts: list[dict[int, int]] = [dict() for _ in range(l_max + 1)]
         self._keys = [0] * (l_max + 1)  # packed key of the last l digits
-        self._sum_c_ln_c = [0.0] * (l_max + 1)
         self._max_count = [0] * (l_max + 1)
         self._count_of_counts: list[dict[int, int]] = [dict() for _ in range(l_max + 1)]
         self._min_ptr = [1] * (l_max + 1)
@@ -119,8 +125,6 @@ class BlockCounter:
             counts = self._counts[l]
             c = counts.get(k, 0)
             counts[k] = c + 1
-            if c:
-                self._sum_c_ln_c[l] += (c + 1) * math.log(c + 1) - c * math.log(c)
             if c + 1 > self._max_count[l]:
                 self._max_count[l] = c + 1
             cc = self._count_of_counts[l]
@@ -135,14 +139,6 @@ class BlockCounter:
     def extend(self, digits: Iterable[int]) -> None:
         for d in digits:
             self.push(d)
-
-    def window_total(self, l: int) -> int:
-        self._check_len(l)
-        return max(0, self.n - l + 1)
-
-    def distinct(self, l: int) -> int:
-        self._check_len(l)
-        return len(self._counts[l])
 
     def max_count(self, l: int) -> int:
         self._check_len(l)
@@ -160,17 +156,10 @@ class BlockCounter:
         self._min_ptr[l] = ptr
         return ptr
 
-    def entropy(self, l: int) -> float:
-        """Normalized block entropy of the prefix consumed so far."""
-        self._check_len(l)
-        return _entropy_from_sums(
-            self._sum_c_ln_c[l], self.window_total(l), l, self.base
-        )
-
     def distribution(self, l: int) -> BlockDistribution:
         self._check_len(l)
         counts = {_unpack_key(k, self.base, l): c for k, c in self._counts[l].items()}
-        return BlockDistribution(self.base, l, counts, self.window_total(l))
+        return BlockDistribution(self.base, l, counts, max(0, self.n - l + 1))
 
     def _check_len(self, l: int) -> None:
         if not 1 <= l <= self.l_max:
@@ -210,17 +199,60 @@ def block_entropy(w: DigitWord, l: int) -> float:
     arr = np.asarray(w.digits, dtype=np.int64)
     counts = np.bincount(_packed_key_array(arr, w.base, l))
     c = counts[counts > 0].astype(np.float64)
-    total = len(w) - l + 1
-    return _entropy_from_sums(float((c * np.log(c)).sum()), total, l, w.base)
+    total = np.array([len(w) - l + 1])
+    return float(_entropy_from_sums(np.array([(c * np.log(c)).sum()]), total, l, w.base)[0])
+
+
+def prefix_entropies(
+    digits: Sequence[int], base: int, l: int, ends: Sequence[int]
+) -> np.ndarray:
+    """H_l of every prefix digits[:n], n in ends, in one numpy pass.
+
+    Each window's occurrence rank (how many earlier windows hold the same
+    block) picks the increment (c+1)ln(c+1) - c ln c that its arrival adds
+    to sum c ln c, and a cumulative sum in window order gives that sum at
+    every prefix.  The additions are those of a running sum updated once
+    per window, in the same order, so each value is bit-identical to it.
+    """
+    _check_block_space(base, l)
+    ends = np.asarray(ends, dtype=np.int64)
+    lo, hi = int(ends.min()), int(ends.max())
+    if lo < l or hi > len(digits):
+        raise ValueError(f"prefix lengths {lo}..{hi} outside {l}..{len(digits)}")
+    arr = np.asarray(digits[:hi], dtype=np.int64)
+    if arr.min() < 0 or arr.max() >= base:
+        raise ValueError(f"digits out of range for base {base}")
+    ranks = _occurrence_ranks(_packed_key_array(arr, base, l))
+    # math.log, not np.log, for the reason given in _entropy_from_sums
+    top = int(ranks.max())
+    ln = np.fromiter(map(math.log, range(1, top + 2)), np.float64, top + 1)  # ln c at c-1
+    c = np.arange(1, top + 1, dtype=np.float64)
+    sums = np.concatenate(([0.0], (c + 1) * ln[1:] - c * ln[:-1]))[ranks]
+    del ranks  # summed in place: one window-sized array at a time
+    np.cumsum(sums, out=sums)
+    totals = ends - l + 1
+    return _entropy_from_sums(sums[totals - 1], totals, l, base)
+
+
+def _occurrence_ranks(keys: np.ndarray) -> np.ndarray:
+    """For each window, how many earlier windows hold the same block."""
+    # a stable sort keeps each block's windows in position order, so a
+    # window's offset inside its run of equal keys is its occurrence rank;
+    # rebinding keys and del keep at most four window-sized arrays alive
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    offsets = np.arange(keys.size)
+    offsets -= np.searchsorted(keys, keys)
+    del keys
+    ranks = np.empty_like(offsets)
+    ranks[order] = offsets
+    return ranks
 
 
 def _validate_block_args(w: DigitWord, l: int) -> None:
-    if l < 1:
-        raise ValueError(f"block length must be positive, got {l}")
+    _check_block_space(w.base, l)
     if l > len(w):
         raise ValueError(f"block length {l} exceeds word length {len(w)}")
-    if w.base**l > BLOCK_SPACE_LIMIT:
-        raise ValueError(f"{w.base}^{l} blocks exceed the tracking limit {BLOCK_SPACE_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -244,7 +276,7 @@ class EntropyProfile:
 
 
 def entropy_profile(w: DigitWord, l_max: int, checkpoints: Sequence[int]) -> EntropyProfile:
-    """H_l at every checkpoint prefix, in one streaming pass."""
+    """H_l at every checkpoint prefix, one batch pass per block length."""
     cps = sorted(set(int(n) for n in checkpoints))
     if not cps:
         raise ValueError("need at least one checkpoint")
@@ -252,18 +284,13 @@ def entropy_profile(w: DigitWord, l_max: int, checkpoints: Sequence[int]) -> Ent
         raise ValueError(f"checkpoints must be positive, got {cps[0]}")
     if cps[-1] > len(w):
         raise ValueError(f"checkpoint {cps[-1]} beyond word length {len(w)}")
-    counter = BlockCounter(w.base, l_max)
+    _check_block_space(w.base, l_max)
+    arr = np.asarray(w.digits[: cps[-1]], dtype=np.int64)
     table: dict[tuple[int, int], float] = {}
-    pending = iter(cps)
-    target = next(pending)
-    for d in w:
-        counter.push(d)
-        if counter.n == target:
-            for l in range(1, min(l_max, counter.n) + 1):
-                table[(l, target)] = counter.entropy(l)
-            target = next(pending, None)
-            if target is None:
-                break
+    for l in range(1, min(l_max, cps[-1]) + 1):
+        ends = [n for n in cps if n >= l]
+        for n, h in zip(ends, prefix_entropies(arr, w.base, l, ends).tolist()):
+            table[(l, n)] = h
     return EntropyProfile(w.base, l_max, tuple(cps), table)
 
 

@@ -126,24 +126,19 @@ def cmd_construct(args: argparse.Namespace) -> int:
         mode = SampledSearch(samples=args.samples, seed=args.seed)
     else:
         mode = ExhaustiveSearch()
-    try:
-        params = ConstructionParams(
-            tolerance=args.tolerance,
-            transition_l=args.transition_l,
-            transition_margin=args.margin,
-            weyl_gamma=args.weyl_gamma,
-            min_digits=args.min_digits,
-            step_budget=args.budget,
-            t_cap=args.t_cap,
-        )
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    params = ConstructionParams(
+        tolerance=args.tolerance,
+        transition_l=args.transition_l,
+        transition_margin=args.margin,
+        weyl_gamma=args.weyl_gamma,
+        min_digits=args.min_digits,
+        step_budget=args.budget,
+        t_cap=args.t_cap,
+    )
     try:
         trace = run_construction(plan, args.stages, mode, params)
     except NoCandidateError as exc:
         return _fail(f"candidate search failed: {exc}", 2)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
 
     os.makedirs(args.out, exist_ok=True)
     config = (
@@ -382,7 +377,11 @@ def _int_list(text: str) -> list[int]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # arguments the parser accepts but a library routine rejects
+        return _fail(str(exc), 2)
 
 
 if __name__ == "__main__":

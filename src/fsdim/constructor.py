@@ -34,10 +34,12 @@ from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .base_arith import DigitWord, Rational, as_unit, atomic_write_text, digits_prefix
-from .blockstats import BlockCounter
+from .blockstats import prefix_entropies
 from .discrepancy import (
     DEFAULT_N,
     DiscrepancyParams,
@@ -275,7 +277,6 @@ def select_step(
     mode: SearchMode,
     disc: DiscrepancyParams,
     plan: Optional[StagePlan] = None,
-    objective_fn: Optional[Callable[[Fraction], float]] = None,
     t_cap: Optional[int] = None,
 ) -> StepChoice:
     """Pick the step-m block minimizing the cross-base objective.
@@ -285,7 +286,6 @@ def select_step(
     Candidates no longer than the filter threshold DEFAULT_N pass
     vacuously.  Ties in the objective go to the lexicographically
     smallest block, so reruns are reproducible.
-    ``objective_fn`` replaces the default objective (used by tests).
     """
     if criterion not in (1, 2):
         raise ValueError(f"criterion must be 1 or 2, got {criterion}")
@@ -306,9 +306,7 @@ def select_step(
     vacuous = width <= DEFAULT_N
     # the objective is identically zero while every scheduled base is
     # equivalent, so scoring reduces to taking the lexicographic minimum
-    trivial = objective_fn is None and all(
-        equivalent(sched.base(h), u) for h in range(1, m + 1)
-    )
+    trivial = all(equivalent(sched.base(h), u) for h in range(1, m + 1))
 
     best_word: Optional[DigitWord] = None
     best_xi: Optional[Fraction] = None
@@ -322,7 +320,7 @@ def select_step(
                 best_word = word
             continue
         xi_c = sigma_element_at(lam, u, a_pos, b_pos, word)
-        obj = objective_fn(xi_c) if objective_fn is not None else a_m(xi_c, m, sched, t_cap)
+        obj = a_m(xi_c, m, sched, t_cap)
         total_obj += obj
         if (
             best_word is None
@@ -442,38 +440,30 @@ class SubstageCheck:
 
 
 def _prefix_deviation(
-    counter: BlockCounter,
+    digits: Sequence[int],
+    base: int,
     l_hi: int,
     target: float,
-    digits: Optional[Sequence[int]] = None,
-    n_from: int = 0,
+    n_from: int,
     shortfall: bool = False,
 ) -> float:
     """Extremal deviation of the entropies H_1..H_l_hi from target.
 
-    Without digits the counter is read at its current prefix.  With
-    digits, they are pushed one at a time and every prefix of length
-    n_from or more is read; the largest deviation over those wins.
-    shortfall=True measures only dips below the target (one-sided, so
-    it can come out negative), otherwise the absolute deviation.  A
-    prefix shorter than l_hi reads as infinite.
+    Every prefix of digits of length n_from or more is read; the largest
+    deviation over those wins.  shortfall=True measures only dips below
+    the target (one-sided, so it can come out negative), otherwise the
+    absolute deviation.  A prefix shorter than l_hi reads as infinite.
     """
-
-    def read() -> float:
-        if counter.n < l_hi:
-            return math.inf
-        hs = [counter.entropy(l) for l in range(1, l_hi + 1)]
-        return max(target - h if shortfall else abs(h - target) for h in hs)
-
-    if digits is None:
-        return read()
+    if not 1 <= n_from <= len(digits):
+        raise ValueError(f"prefixes {n_from}..{len(digits)} hold no reading")
+    if n_from < l_hi:
+        return math.inf
+    arr = np.asarray(digits, dtype=np.int64)
+    ends = np.arange(n_from, arr.size + 1)
     dev = -math.inf
-    for d in digits:
-        counter.push(d)
-        if counter.n >= n_from:
-            dev = max(dev, read())
-    if dev == -math.inf:
-        raise ValueError(f"prefixes {n_from}..{counter.n} hold no reading")
+    for l in range(1, l_hi + 1):
+        hs = prefix_entropies(arr, base, l, ends)
+        dev = max(dev, float((target - hs if shortfall else np.abs(hs - target)).max()))
     return dev
 
 
@@ -533,13 +523,13 @@ def first_substage_done(
     sched: Schedule,
     plan: StagePlan,
     params: ConstructionParams,
-    counter: BlockCounter,
+    digits: Sequence[int],
     digits_fixed: int,
 ) -> SubstageCheck:
     """Close the restricted substage once entropies sit at the target rate.
 
-    counter must hold exactly the stage-k digits written so far, so its
-    prefix length is the checkpoint the entropies are read at.
+    digits must hold exactly the stage-k digits written so far, so their
+    count is the checkpoint the entropies are read at.
     """
     v = sched.base(m)
     l_hi = min(k, L_CAP)
@@ -550,10 +540,10 @@ def first_substage_done(
             k, m, sched, params, digits_fixed, (delta_k(eps, v, l_hi), eps))
         tol = params.entropy_tolerance(eps)
         target = float(plan.q_for(v))
-        dev = _prefix_deviation(counter, l_hi, target)
+        dev = _prefix_deviation(digits, v, l_hi, target, len(digits))
         yield ConditionVerdict(
             name="entropy-at-target", passed=dev <= tol, measured=dev, threshold=tol,
-            detail=f"target {target:.6g} at prefix {counter.n}",
+            detail=f"target {target:.6g} at prefix {len(digits)}",
         )
 
     return _close_out(k, m, 1, conditions())
@@ -565,20 +555,20 @@ def second_substage_done(
     sched: Schedule,
     plan: StagePlan,
     params: ConstructionParams,
-    counter: BlockCounter,
+    digits: Sequence[int],
     digits_fixed: int,
     xi: Fraction,
-    digits: Sequence[int],
 ) -> SubstageCheck:
     """Close the full-alphabet substage once the point looks fully random.
 
-    Beyond near-1 entropies this demands small Weyl averages (read off
-    the stage digit buffer ``digits``, which must hold the base-v(k)
-    expansion of xi so far), a healthy margin for the next stage's
-    block lengths, a good base sequence after appending the next
-    stage's base, and (when that base already appeared) near-1
-    entropies in it as well.  Look-ahead conditions pass vacuously when
-    the plan does not cover stage k+1.
+    ``digits`` must hold the base-v(k) expansion of xi written in stage k
+    so far; the entropies and the Weyl averages are read off it at its
+    full length.  Beyond near-1 entropies this demands small Weyl
+    averages, a healthy margin for the next stage's block lengths, a
+    good base sequence after appending the next stage's base, and (when
+    that base already appeared) near-1 entropies in it as well.
+    Look-ahead conditions pass vacuously when the plan does not cover
+    stage k+1.
     """
     v = sched.base(m)
     l_hi = min(k, L_CAP)
@@ -594,10 +584,10 @@ def second_substage_done(
             "" if w is not None else "next stage base unknown")
 
         tol = params.entropy_tolerance(2.0 ** -(k + 1))
-        dev = _prefix_deviation(counter, l_hi, 1.0)
+        dev = _prefix_deviation(digits, v, l_hi, 1.0, len(digits))
         yield ConditionVerdict(
             name="entropy-at-one", passed=dev <= tol, measured=dev, threshold=tol,
-            detail=f"prefix {counter.n}",
+            detail=f"prefix {len(digits)}",
         )
 
         if w is None:
@@ -628,8 +618,7 @@ def second_substage_done(
         else:
             n_w = angle_base(plan.growth.angle(m + 1), w)
             tol_w = params.entropy_tolerance(eps)
-            dev_w = _prefix_deviation(
-                BlockCounter(w, l_hi), l_hi, 1.0, digits_prefix(xi, w, n_w).digits, n_w)
+            dev_w = _prefix_deviation(digits_prefix(xi, w, n_w).digits, w, l_hi, 1.0, n_w)
             yield ConditionVerdict(
                 name="next-base-entropy", passed=dev_w <= tol_w, measured=dev_w,
                 threshold=tol_w, detail=f"base {w} prefix {n_w}",
@@ -667,7 +656,6 @@ class ConstructionTrace:
 
     plan: StagePlan
     params: ConstructionParams
-    mode: SearchMode
     xi: Fraction
     steps: tuple[StepChoice, ...]
     stages: tuple[StageBounds, ...]
@@ -742,7 +730,6 @@ def run_construction(
     for k in range(1, stages + 1):
         v = plan.v_of(k)
         v_star = plan.v_star(k)
-        counter = BlockCounter(v, min(k, L_CAP))
         stage_digits: list[int] = []  # base-v expansion of xi built so far
         substage_start = 0  # stage-local digit count when the substage opened
         p1 = None
@@ -758,8 +745,7 @@ def run_construction(
                     # rounded carry-over of everything built so far
                     eta0 = eta_g_at(xi, v, sched.a(m))
                     stage_digits.extend(digits_prefix(eta0.eta, v, sched.a(m)).digits)
-                    counter.extend(stage_digits)
-                    substage_start = counter.n
+                    substage_start = len(stage_digits)
                 choice = select_step(
                     xi, m, sched, criterion, mode, params.disc, plan, t_cap=params.t_cap
                 )
@@ -769,21 +755,18 @@ def run_construction(
                 stage_digits.extend(choice.digit_block.digits)
                 stage_digits.append(0)
                 stage_digits.append(0)
-                counter.extend(choice.digit_block.digits)
-                counter.push(0)
-                counter.push(0)
-                if counter.n != sched.b(m):
+                if len(stage_digits) != sched.b(m):
                     raise AssertionError(
-                        f"step {m}: {counter.n} digits written, expected {sched.b(m)}"
+                        f"step {m}: {len(stage_digits)} digits written, expected {sched.b(m)}"
                     )
                 steps.append(replace(choice, k=k, substage=substage))
                 taken += 1
-                fixed = counter.n - substage_start
+                fixed = len(stage_digits) - substage_start
                 if substage == 1:
-                    check = first_substage_done(k, m, sched, plan, params, counter, fixed)
+                    check = first_substage_done(k, m, sched, plan, params, stage_digits, fixed)
                 else:
                     check = second_substage_done(
-                        k, m, sched, plan, params, counter, fixed, xi, stage_digits
+                        k, m, sched, plan, params, stage_digits, fixed, xi
                     )
                 if check.done or taken >= params.step_budget:
                     exhausted = exhausted or not check.done
@@ -792,7 +775,7 @@ def run_construction(
                 p1, first_check = m, check
             else:
                 second_check = check
-            substage_start = counter.n
+            substage_start = len(stage_digits)
             if exhausted:
                 break
         bounds.append(
@@ -811,7 +794,6 @@ def run_construction(
     trace = ConstructionTrace(
         plan=plan,
         params=params,
-        mode=mode,
         xi=xi,
         steps=tuple(steps),
         stages=tuple(bounds),
@@ -868,9 +850,6 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
     f1, f2 = trace.first_checkpoint(k), trace.second_checkpoint(k)
     word = digits_prefix(trace.xi, v, f2)
 
-    def deviation(base, digits, l, target, n_from, shortfall=False) -> float:
-        return _prefix_deviation(BlockCounter(base, l), l, target, digits, n_from, shortfall)
-
     def verdict(name, detail, dev=None, threshold=0.0, l=l_hi) -> RequirementVerdict:
         # dev None marks a requirement whose trigger condition is absent
         if dev is None:
@@ -879,11 +858,12 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
 
     out = [
         verdict("stage-target", f"|H_l - {q:.6g}| at prefix {f1}",
-                deviation(v, word.digits[:f1], l_hi, q, f1), tol(2.0**-k)),
+                _prefix_deviation(word.digits[:f1], v, l_hi, q, f1), tol(2.0**-k)),
         verdict("full-restore", f"|H_l - 1| at prefix {f2}",
-                deviation(v, word.digits, l_hi, 1.0, f2), tol(2.0 ** -(k + 1))),
+                _prefix_deviation(word.digits, v, l_hi, 1.0, f2), tol(2.0 ** -(k + 1))),
         verdict("restore-floor", f"worst dip below {q:.6g} over prefixes {f1}..{f2}",
-                deviation(v, word.digits, l_hi, q, f1, shortfall=True), tol(2.0 ** -(k - 1))),
+                _prefix_deviation(word.digits, v, l_hi, q, f1, shortfall=True),
+                tol(2.0 ** -(k - 1))),
     ]
 
     held = False
@@ -896,7 +876,7 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
         lo = angle_base(plan.growth.angle(prev.p2 + 1), vp) + 1
         hi = angle_base(plan.growth.angle(sb.p2 + 1), vp)
         l_p = min(kp, L_CAP)
-        dev = deviation(vp, digits_prefix(trace.xi, vp, hi).digits, l_p, 1.0, lo)
+        dev = _prefix_deviation(digits_prefix(trace.xi, vp, hi).digits, vp, l_p, 1.0, lo)
         out.append(verdict("other-base-hold", f"stage-{kp} base {vp}, prefixes {lo}..{hi}",
                            dev, tol(2.0 ** -(kp + 1)), l_p))
     if not held:
@@ -908,7 +888,7 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
         out.append(verdict("next-base-restore", "next stage base is new or unplanned"))
     else:
         n_w = angle_base(plan.growth.angle(sb.p2 + 1), w)
-        dev = deviation(w, digits_prefix(trace.xi, w, n_w).digits, l_hi, 1.0, n_w)
+        dev = _prefix_deviation(digits_prefix(trace.xi, w, n_w).digits, w, l_hi, 1.0, n_w)
         out.append(verdict("next-base-restore", f"base {w} prefix {n_w}", dev, tol(2.0**-k)))
 
     if not (repeated and len(trace.stages) > k and trace.stage(k + 1).p1 is not None):
@@ -917,8 +897,8 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
         q_next = float(plan.q_for(w))
         lo = trace.stage_start(k + 1)
         hi = trace.first_checkpoint(k + 1)
-        dev = deviation(w, digits_prefix(trace.xi, w, hi).digits, l_hi, q_next, lo,
-                        shortfall=True)
+        dev = _prefix_deviation(digits_prefix(trace.xi, w, hi).digits, w, l_hi, q_next, lo,
+                                shortfall=True)
         out.append(verdict("next-stage-floor",
                            f"worst dip below {q_next:.6g}, base {w}, prefixes {lo}..{hi}",
                            dev, tol(2.0 ** -(k - 1))))

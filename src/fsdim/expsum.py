@@ -14,8 +14,6 @@ turning small Weyl averages into a digit-uniformity guarantee.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +21,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .base_arith import atomic_write_text, frac_of_scaled, orbit_residues
+from .base_arith import frac_of_scaled, orbit_residues
 from .schedule import Schedule, equivalent
 
 __all__ = [
@@ -107,15 +105,6 @@ class WeylReport:
     @property
     def max_modulus(self) -> float:
         return max(abs(v) for v in self.averages.values())
-
-    def write_csv(self, path) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["t", "re", "im", "modulus"])
-        for t in sorted(self.averages):
-            v = self.averages[t]
-            writer.writerow([t, f"{v.real:.12g}", f"{v.imag:.12g}", f"{abs(v):.12g}"])
-        atomic_write_text(path, buf.getvalue())
 
 
 def _averages_fft(num: int, den: int, b: int, n: int, t_max: int) -> dict[int, complex]:

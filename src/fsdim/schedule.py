@@ -400,9 +400,6 @@ class StagePlan:
         except KeyError:
             raise ValueError(f"no target entropy configured for the class of {rep}") from None
 
-    def q_items(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple(sorted(self._q.items()))
-
     def p_of(self, b: int) -> int:
         """floor(b**q_b), exact: the d-th integer root of b**e."""
         q = self.q_for(b)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fsdim.base_arith import DigitWord, digits_prefix, frac_of_scaled, value_of_word
-from fsdim.blockstats import BlockCounter
+from fsdim.blockstats import BlockCounter, block_entropy
 from fsdim.cli import _suite_am_oracle, _suite_discrepancy_oracle, _suite_sin_bound, _suite_viete
 from fsdim.constructor import (
     ConstructionParams,
@@ -40,10 +40,8 @@ def _suite_verdict(number: int, checks) -> None:
 def test_criterion_01_entropy_dilution():
     rng = random.Random(1)
     start = time.perf_counter()
-    digits = [rng.randrange(2) for _ in range(10**6)]
-    counter = BlockCounter(4, 2)
-    counter.extend(digits)
-    h1, h2 = counter.entropy(1), counter.entropy(2)
+    word = DigitWord(4, tuple(rng.randrange(2) for _ in range(10**6)))
+    h1, h2 = block_entropy(word, 1), block_entropy(word, 2)
     elapsed = time.perf_counter() - start
     ok = abs(h1 - 0.5) <= 0.01 and abs(h2 - 0.5) <= 0.01 and elapsed < 10.0
     _verdict(1, ok, f"H_1={h1:.4f} H_2={h2:.4f} (target 0.5 +- 0.01), {elapsed:.1f}s")
@@ -51,10 +49,8 @@ def test_criterion_01_entropy_dilution():
 
 def test_criterion_02_full_entropy_baseline():
     rng = random.Random(2)
-    digits = [rng.randrange(4) for _ in range(10**6)]
-    counter = BlockCounter(4, 3)
-    counter.extend(digits)
-    values = {l: counter.entropy(l) for l in (1, 2, 3)}
+    word = DigitWord(4, tuple(rng.randrange(4) for _ in range(10**6)))
+    values = {l: block_entropy(word, l) for l in (1, 2, 3)}
     ok = all(v >= 0.99 for v in values.values())
     _verdict(2, ok, "uniform base-4 entropies " +
              " ".join(f"H_{l}={v:.4f}" for l, v in values.items()) + " (floor 0.99)")
@@ -161,12 +157,8 @@ def test_criterion_09_construction_mechanics():
     assert all(final[s.a_m:s.b_m - 2] == s.digit_block.digits for s in trace.steps)
 
     # (e) diluted then restored single-digit entropy
-    head = BlockCounter(4, 1)
-    head.extend(final[:f1])
-    h_first = head.entropy(1)
-    full = BlockCounter(4, 1)
-    full.extend(final)
-    h_second = full.entropy(1)
+    h_first = block_entropy(DigitWord(4, final[:f1]), 1)
+    h_second = block_entropy(DigitWord(4, final), 1)
     ok = 0.4 <= h_first <= 0.6 and h_second >= 0.85 and elapsed < 300.0
     _verdict(9, ok, f"{len(trace.steps)} steps, F1={f1} F2={f2},"
                     f" H_1(F1)={h_first:.4f} in [0.4,0.6],"

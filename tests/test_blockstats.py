@@ -18,6 +18,7 @@ from fsdim.blockstats import (
     entropy_profile,
     occurrence_count,
     occurrence_prob,
+    prefix_entropies,
 )
 
 
@@ -158,7 +159,6 @@ def test_streaming_counts_equal_naive_recount():
             dist = counter.distribution(l)
             assert dict(dist.counts) == naive_counts(word, l)
             assert dist.window_total == n - l + 1
-            assert counter.entropy(l) == pytest.approx(naive_entropy(word, l), abs=1e-12)
             batch = block_counts(word, l)
             assert dict(batch.counts) == naive_counts(word, l)
 
@@ -177,7 +177,6 @@ def test_streaming_extremal_counts():
             space = base**l
             expected_min = min(counts.values()) if len(counts) == space else 0
             assert counter.min_count(l) == expected_min
-            assert counter.distinct(l) == len(counts)
 
 
 def test_counter_validation():
@@ -188,9 +187,39 @@ def test_counter_validation():
         counter.push(2)
     counter.push(0)
     with pytest.raises(ValueError):
-        counter.entropy(0)
+        counter.max_count(0)
     with pytest.raises(ValueError):
-        counter.entropy(3)
+        counter.min_count(3)
+
+
+# ---------------------------------------------------------------------------
+# Entropies of every prefix
+
+
+def test_prefix_entropies_match_naive_oracle_at_every_prefix():
+    rng = random.Random(17)
+    for _ in range(40):
+        base = rng.randrange(2, 6)
+        n = rng.randrange(1, 120)
+        word = rand_word(rng, base, n)
+        for l in range(1, min(6, n) + 1):
+            got = prefix_entropies(word.digits, base, l, range(l, n + 1))
+            want = [naive_entropy(word.prefix(k), l) for k in range(l, n + 1)]
+            assert got.tolist() == pytest.approx(want, abs=1e-12)
+
+
+def test_prefix_entropies_validation():
+    digits = (0, 1, 1, 0, 1)
+    with pytest.raises(ValueError):
+        prefix_entropies(digits, 2, 0, [3])
+    with pytest.raises(ValueError):
+        prefix_entropies((0,) * 40, 2, 30, [35])  # 2^30 blocks over limit
+    with pytest.raises(ValueError):
+        prefix_entropies(digits, 2, 3, [2, 5])  # prefix shorter than the block
+    with pytest.raises(ValueError):
+        prefix_entropies(digits, 2, 1, [6])  # prefix longer than the word
+    with pytest.raises(ValueError):
+        prefix_entropies(digits, 1, 1, [5])
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +247,10 @@ def test_entropy_profile_validation():
         entropy_profile(word, 2, [0, 5])
     with pytest.raises(ValueError):
         entropy_profile(word, 2, [5, 100])
+    with pytest.raises(ValueError):
+        entropy_profile(word, 0, [5])
+    with pytest.raises(ValueError):
+        entropy_profile(word, 30, [5])  # 2^30 blocks over limit
 
 
 def test_profile_csv_format():

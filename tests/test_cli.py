@@ -165,6 +165,23 @@ def test_construct_usage_error_exits_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{quads}", "--checkpoints", "0,5"],
+    ["analyze", "{quads}", "--lmax", "0"],
+    ["analyze", "{quads}", "--lmax", "20"],  # 4^20 blocks, over the limit
+    ["calibrate", "--base", "2", "--samples", "5"],
+    ["calibrate", "--base", "2", "--target", "1.5"],
+    ["construct", "--plan", "{plan}", "--stages", "1", "--samples", "0"],
+])
+def test_rejected_values_exit_two(argv, plan_file, tmp_path, capsys):
+    # values the parser accepts but a library routine rejects are usage errors
+    quads = tmp_path / "quads.txt"
+    write_digit_file(quads, DigitWord(4, (0, 1, 2, 3) * 100))
+    argv = [a.format(quads=quads, plan=plan_file) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -11,7 +11,6 @@ from itertools import product as iter_product
 import pytest
 
 from fsdim.base_arith import DigitWord, digits_prefix, value_of_word
-from fsdim.blockstats import BlockCounter
 from fsdim.constructor import (
     ConstructionParams,
     ConstructionTrace,
@@ -249,17 +248,17 @@ def test_select_step_chosen_never_worse_than_mean():
     assert choice.objective <= choice.objective_mean + 1e-12
 
 
-def test_select_step_objective_scale_invariance():
+def test_select_step_objective_scale_invariance(monkeypatch):
+    import fsdim.constructor
     from fsdim.expsum import a_m
 
     sched = _tiny_two_base_schedule()
     disc = DiscrepancyParams.default()
     lam = Fraction(1, 5)
     plain = select_step(lam, 2, sched, 2, ExhaustiveSearch(), disc)
-    scaled = select_step(
-        lam, 2, sched, 2, ExhaustiveSearch(), disc,
-        objective_fn=lambda x: 3.7 * a_m(x, 2, sched),
-    )
+    monkeypatch.setattr(fsdim.constructor, "a_m", lambda *args: 3.7 * a_m(*args))
+    scaled = select_step(lam, 2, sched, 2, ExhaustiveSearch(), disc)
+    assert scaled.objective == pytest.approx(3.7 * plain.objective)
     assert scaled.digit_block == plain.digit_block
     assert scaled.xi == plain.xi
 
@@ -356,21 +355,14 @@ def test_weyl_max_from_digits_rejects_bad_arguments():
 # substage predicates on fabricated state
 
 
-def _fabricated_counter(base, digits, l_max):
-    counter = BlockCounter(base, l_max)
-    counter.extend(digits)
-    return counter
-
-
 def test_first_substage_done_on_ideal_digits():
     plan = StagePlan({2: Fraction(1, 2)}, growth=ScaledGrowth(8, 4))
     m = 33  # wide enough for the default transition inequality at k = 1
     sched = Schedule((4,) * m, plan.growth)
     rng = random.Random(1)
     digits = [rng.randrange(2) for _ in range(sched.b(m))]
-    counter = _fabricated_counter(4, digits, 1)
     params = ConstructionParams()
-    check = first_substage_done(1, m, sched, plan, params, counter, counter.n)
+    check = first_substage_done(1, m, sched, plan, params, digits, len(digits))
     assert check.done
     names = [v.name for v in check.verdicts]
     assert names == ["digit-floor", "block-length", "entropy-at-target"]
@@ -379,9 +371,9 @@ def test_first_substage_done_on_ideal_digits():
 def test_first_substage_done_floor_short_circuits():
     plan = StagePlan({2: Fraction(1, 2)}, growth=ScaledGrowth(8, 4))
     sched = Schedule((4,), plan.growth)
-    counter = _fabricated_counter(4, [0, 1] * 6, 1)
+    digits = [0, 1] * 6
     params = ConstructionParams(min_digits=10**6)
-    check = first_substage_done(1, 1, sched, plan, params, counter, counter.n)
+    check = first_substage_done(1, 1, sched, plan, params, digits, len(digits))
     assert not check.done
     assert [v.name for v in check.verdicts] == ["digit-floor"]
 
@@ -390,8 +382,8 @@ def test_first_substage_done_rejects_wrong_entropy():
     plan = StagePlan({2: Fraction(1, 2)}, growth=ScaledGrowth(8, 4))
     m = 33
     sched = Schedule((4,) * m, plan.growth)
-    counter = _fabricated_counter(4, [0] * sched.b(m), 1)  # entropy 0, target 1/2
-    check = first_substage_done(1, m, sched, plan, ConstructionParams(), counter, counter.n)
+    digits = [0] * sched.b(m)  # entropy 0, target 1/2
+    check = first_substage_done(1, m, sched, plan, ConstructionParams(), digits, len(digits))
     assert not check.done
     assert check.verdicts[-1].name == "entropy-at-target"
     assert check.verdicts[-1].measured == pytest.approx(0.5, abs=1e-6)
@@ -404,9 +396,8 @@ def test_second_substage_done_on_ideal_digits():
     rng = random.Random(2)
     digits = [rng.randrange(4) for _ in range(sched.b(m))]
     xi = value_of_word(DigitWord(4, tuple(digits)))
-    counter = _fabricated_counter(4, digits, 1)
     params = ConstructionParams()
-    check = second_substage_done(1, m, sched, plan, params, counter, counter.n, xi, digits)
+    check = second_substage_done(1, m, sched, plan, params, digits, len(digits), xi)
     assert check.done
     names = [v.name for v in check.verdicts]
     assert names == [
@@ -429,9 +420,8 @@ def test_second_substage_done_fails_on_diluted_digits():
     rng = random.Random(2)
     digits = [rng.randrange(2) for _ in range(sched.b(m))]  # entropy 1/2, not 1
     xi = value_of_word(DigitWord(4, tuple(digits)))
-    counter = _fabricated_counter(4, digits, 1)
-    check = second_substage_done(1, m, sched, plan, ConstructionParams(), counter,
-                                 counter.n, xi, digits)
+    check = second_substage_done(1, m, sched, plan, ConstructionParams(), digits,
+                                 len(digits), xi)
     assert not check.done
     assert check.verdicts[-1].name == "entropy-at-one"
 
@@ -626,7 +616,6 @@ def _fabricated_trace(xi, p1, p2):
     return ConstructionTrace(
         plan=plan,
         params=params,
-        mode=ExhaustiveSearch(),
         xi=xi,
         steps=(),
         stages=(bounds,),

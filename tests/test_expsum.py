@@ -1,7 +1,6 @@
 """Exponential-sum machinery against literal big-integer oracles."""
 
 import cmath
-import csv
 import math
 from fractions import Fraction
 
@@ -113,21 +112,6 @@ def test_weyl_report_matches_per_t_averages():
     small = weyl_report(0.3, 2, 4, 40)
     for t in range(1, 5):
         assert cmath.isclose(small.averages[t], weyl_average(0.3, 2, t, 40), abs_tol=1e-9)
-
-
-def test_weyl_report_csv(tmp_path):
-    report = weyl_report(Fraction(5, 97), 3, 6, 100)
-    path = tmp_path / "weyl.csv"
-    report.write_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "re", "im", "modulus"]
-    assert len(rows) == 7
-    for row in rows[1:]:
-        t = int(row[0])
-        val = complex(float(row[1]), float(row[2]))
-        assert cmath.isclose(val, report.averages[t], abs_tol=1e-9)
-        assert math.isclose(float(row[3]), abs(report.averages[t]), abs_tol=1e-9)
 
 
 def test_certificate_constants():
