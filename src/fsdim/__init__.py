@@ -26,24 +26,19 @@ from fsdim.blockstats import (
     dimension_estimate,
     entropy_profile,
     occurrence_count,
-    occurrence_prob,
     prefix_entropies,
 )
 from fsdim.constructor import (
     ConstructionParams,
     ConstructionTrace,
-    ExhaustiveSearch,
-    NoCandidateError,
     RequirementVerdict,
     SampledSearch,
     StageBounds,
     StepChoice,
     check_requirements,
     delta_k,
-    eta_g,
     run_construction,
     select_step,
-    sigma_element,
     write_trace_csv,
 )
 from fsdim.discrepancy import (

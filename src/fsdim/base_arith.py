@@ -113,13 +113,8 @@ def digits_prefix(x: Rational, base: int, n: int) -> DigitWord:
         raise ValueError(f"base must be at least 2, got {base}")
     if n < 0:
         raise ValueError(f"prefix length must be nonnegative, got {n}")
-    num, den = f.numerator, f.denominator
-    if n >= 4096 and den < (1 << 31) and base < (1 << 31):
-        # digit i is floor(base * r_i / den) for the residues r_i below
-        chunks = [r * base // den for r in orbit_residues(num, den, base, n)]
-        return DigitWord(base, tuple(np.concatenate(chunks).tolist()))
+    r, den = f.numerator, f.denominator
     digits = []
-    r = num
     for _ in range(n):
         r *= base
         d, r = divmod(r, den)

@@ -1,8 +1,8 @@
 """Sliding-window block counts, entropies, and entropy profiles.
 
 Counts are over overlapping windows: a length-l block starting at every
-position 1..n-l+1 of a length-n word. Probabilities are exact rationals;
-only the final log-sum is evaluated in floating point, with natural logs
+position 1..n-l+1 of a length-n word. Counts are exact integers; only
+the final log-sum is evaluated in floating point, with natural logs
 normalized by l*ln(base) so values land in [0, 1].  Entropies are read
 in batch, at one prefix or at many in one pass (:func:`prefix_entropies`);
 the streaming :class:`BlockCounter` serves the low-discrepancy filter.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "dimension_estimate",
     "entropy_profile",
     "occurrence_count",
-    "occurrence_prob",
     "prefix_entropies",
 ]
 
@@ -58,11 +56,6 @@ def occurrence_count(z: DigitWord, w: DigitWord) -> int:
     target = z.digits
     digits = w.digits
     return sum(1 for i in range(n - l + 1) if digits[i : i + l] == target)
-
-
-def occurrence_prob(z: DigitWord, w: DigitWord) -> Fraction:
-    """Exact occurrence probability N(z, w) / (|w| - |z| + 1)."""
-    return Fraction(occurrence_count(z, w), len(w) - len(z) + 1)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,6 @@ from .base_arith import atomic_write_text as _atomic_text
 from .blockstats import dimension_estimate, entropy_profile
 from .constructor import (
     ConstructionParams,
-    ExhaustiveSearch,
-    NoCandidateError,
     SampledSearch,
     check_requirements,
     monitor_summary,
@@ -36,6 +34,7 @@ from .constructor import (
 )
 from .discrepancy import (
     DiscrepancyParams,
+    FilterGiveUp,
     calibrate,
     star_discrepancy,
     star_discrepancy_brute,
@@ -122,10 +121,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         plan = read_plan_file(args.plan)
     except (OSError, ValueError) as exc:
         return _fail(f"invalid plan: {exc}", 2)
-    if args.mode == "sampled":
-        mode = SampledSearch(samples=args.samples, seed=args.seed)
-    else:
-        mode = ExhaustiveSearch()
+    mode = SampledSearch(samples=args.samples, seed=args.seed)
     params = ConstructionParams(
         tolerance=args.tolerance,
         transition_l=args.transition_l,
@@ -137,7 +133,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     )
     try:
         trace = run_construction(plan, args.stages, mode, params)
-    except NoCandidateError as exc:
+    except FilterGiveUp as exc:
         return _fail(f"candidate search failed: {exc}", 2)
 
     os.makedirs(args.out, exist_ok=True)
@@ -327,9 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="run the staged construction")
     p.add_argument("--plan", required=True, help="plan file (q/growth/alpha lines)")
     p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--mode", choices=("sampled", "exhaustive"), default="sampled")
-    p.add_argument("--samples", type=int, default=64,
-                   help="candidates per step in sampled mode")
+    p.add_argument("--mode", choices=("sampled",), default="sampled",
+                   help="candidate search (seeded sampling is the only one)")
+    p.add_argument("--samples", type=int, default=64, help="candidates per step")
     p.add_argument("--seed", default="0")
     p.add_argument("--tolerance", type=float, default=0.1,
                    help="entropy tolerance override for desk-scale runs")

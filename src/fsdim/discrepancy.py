@@ -8,7 +8,8 @@ per-base constants C_b are the filter's whole configuration. They are not
 derivable in closed form; they are produced by the Monte-Carlo calibration
 routine below and persisted in a plain-text config. At the calibrated values,
 at least about half of all uniform random words pass, so rejection sampling
-of good words stays cheap.
+of good words stays cheap. A word no longer than DEFAULT_N passes vacuously,
+so sample_good_string returns its first draw at such lengths untested.
 """
 
 from __future__ import annotations
@@ -211,11 +212,15 @@ def sample_good_string(
     rng_seed,
     params: DiscrepancyParams,
 ) -> DigitWord:
-    """Rejection-sample a uniform word until it passes the filter."""
+    """Rejection-sample a uniform word until it passes the filter.
+
+    A word no longer than DEFAULT_N passes vacuously (the filter's prefix
+    range is empty), so the first draw is returned untested.
+    """
     rng = random.Random(rng_seed)
     for _ in range(MAX_ATTEMPTS):
         word = DigitWord(base, tuple(rng.randrange(base) for _ in range(length)))
-        if low_discrepancy_test(word, params):
+        if length <= DEFAULT_N or low_discrepancy_test(word, params):
             return word
     raise FilterGiveUp(
         f"no base-{base} word of length {length} passed after {MAX_ATTEMPTS} draws"

@@ -39,7 +39,6 @@ __all__ = [
     "Schedule",
     "AlphaTable",
     "beta_m",
-    "beta_prime_m",
     "StagePlan",
     "parse_plan",
     "read_plan_file",
@@ -341,10 +340,6 @@ def beta_m(sched: Schedule, alpha: AlphaTable, m: int) -> float:
     return best
 
 
-def beta_prime_m(sched: Schedule, alpha: AlphaTable, m: int) -> float:
-    return beta_m(sched, alpha, m) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # stage plans
 
@@ -404,9 +399,6 @@ class StagePlan:
         """floor(b**q_b), exact: the d-th integer root of b**e."""
         q = self.q_for(b)
         return integer_root(b ** q.numerator, q.denominator)
-
-    def r_k(self, k: int) -> int:
-        return r_seq(k)
 
     def v_of(self, k: int) -> int:
         """Working base of stage k: r_k raised to q's denominator."""

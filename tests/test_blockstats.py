@@ -3,7 +3,6 @@
 import io
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -17,7 +16,6 @@ from fsdim.blockstats import (
     dimension_estimate,
     entropy_profile,
     occurrence_count,
-    occurrence_prob,
     prefix_entropies,
 )
 
@@ -61,12 +59,6 @@ def test_occurrence_count_frozen_examples():
     assert occurrence_count(w("0101", 2), w("0101", 2)) == 1
 
 
-def test_occurrence_prob_exact():
-    w = DigitWord.from_string
-    assert occurrence_prob(w("00", 2), w("0000", 2)) == Fraction(1)
-    assert occurrence_prob(w("01", 2), w("0101", 2)) == Fraction(2, 3)
-
-
 def test_occurrence_count_validation():
     w = DigitWord.from_string
     with pytest.raises(ValueError):
@@ -78,7 +70,7 @@ def test_occurrence_count_validation():
 
 
 @given(st.integers(2, 4), st.integers(1, 3), st.data())
-def test_occurrence_prob_sums_to_one(base, l, data):
+def test_occurrence_count_sums_to_window_total(base, l, data):
     digits = data.draw(st.lists(st.integers(0, base - 1), min_size=l, max_size=40))
     word = DigitWord.from_digits(base, digits)
     total = sum(

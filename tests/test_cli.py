@@ -162,6 +162,9 @@ def test_construct_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["construct", "--stages", "1"])  # --plan is required
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["construct", "--plan", "plan.txt", "--stages", "1", "--mode", "exhaustive"])
+    assert info.value.code == 2
     capsys.readouterr()
 
 
@@ -172,6 +175,14 @@ def test_construct_usage_error_exits_two(capsys):
     ["calibrate", "--base", "2", "--samples", "5"],
     ["calibrate", "--base", "2", "--target", "1.5"],
     ["construct", "--plan", "{plan}", "--stages", "1", "--samples", "0"],
+    # a non-finite constant makes a close-out gate always or never pass
+    ["construct", "--plan", "{plan}", "--stages", "1", "--budget", "1",
+     "--transition-l", "nan"],
+    ["construct", "--plan", "{plan}", "--stages", "1", "--budget", "1",
+     "--transition-l", "inf"],
+    ["construct", "--plan", "{plan}", "--stages", "1", "--budget", "1", "--margin", "inf"],
+    ["construct", "--plan", "{plan}", "--stages", "1", "--budget", "1",
+     "--tolerance", "inf"],
 ])
 def test_rejected_values_exit_two(argv, plan_file, tmp_path, capsys):
     # values the parser accepts but a library routine rejects are usage errors
@@ -180,6 +191,7 @@ def test_rejected_values_exit_two(argv, plan_file, tmp_path, capsys):
     argv = [a.format(quads=quads, plan=plan_file) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out" / "trace.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -14,25 +14,21 @@ from fsdim.base_arith import DigitWord, digits_prefix, value_of_word
 from fsdim.constructor import (
     ConstructionParams,
     ConstructionTrace,
-    ExhaustiveSearch,
-    NoCandidateError,
     SampledSearch,
     StageBounds,
     check_requirements,
     delta_k,
-    eta_g,
     eta_g_at,
     first_substage_done,
     monitor_summary,
     run_construction,
     second_substage_done,
     select_step,
-    sigma_element,
     sigma_element_at,
     weyl_max_from_digits,
     write_trace_csv,
 )
-from fsdim.discrepancy import DiscrepancyParams, low_discrepancy_test
+from fsdim.discrepancy import DiscrepancyParams, FilterGiveUp, low_discrepancy_test
 from fsdim.expsum import a_m_naive, weyl_average
 from fsdim.schedule import ScaledGrowth, Schedule, StagePlan, TableGrowth, parse_plan
 
@@ -139,13 +135,6 @@ def test_eta_g_is_minimal_grid_point_above():
             assert Fraction(step.g - 1, base**a_pos) < lam
 
 
-def test_eta_g_uses_schedule_positions():
-    sched = Schedule((2, 2, 2), ScaledGrowth(8, 4))
-    lam = Fraction(1, 7)
-    for m in (1, 2, 3):
-        assert eta_g(lam, m, sched) == eta_g_at(lam, sched.base(m), sched.a(m))
-
-
 def test_eta_g_rejects_bad_arguments():
     with pytest.raises(ValueError):
         eta_g_at(Fraction(3, 2), 2, 1)
@@ -184,14 +173,6 @@ def test_sigma_element_stays_within_grid_cell():
         assert got[b_pos - 2:b_pos] == (0, 0)
 
 
-def test_sigma_element_matches_schedule_positions():
-    sched = Schedule((2, 3), TableGrowth((2, 5, 9)))
-    lam = Fraction(1, 9)
-    block = DigitWord(3, (2, 1))  # b(2) - a(2) - 2 = 9 - 5 - 2 = 2
-    direct = sigma_element_at(lam, 3, sched.a(2), sched.b(2), block)
-    assert sigma_element(lam, 2, sched, block) == direct
-
-
 def test_sigma_element_rejects_bad_blocks():
     with pytest.raises(ValueError):
         sigma_element_at(0, 2, 1, 5, DigitWord(2, (1,)))  # wrong length
@@ -210,8 +191,24 @@ def test_sigma_element_guards_unit_interval():
 
 
 def _tiny_two_base_schedule():
-    # widths of 2 and 3 digits keep exhaustive enumeration trivial
+    # widths of 3 digits keep the candidate spaces small enough to cover
     return Schedule((2, 3), TableGrowth((2, 7, 12)))
+
+
+def _select_drawing(monkeypatch, *args, **kwargs):
+    """select_step's choice, plus the set of blocks it drew."""
+    import fsdim.constructor
+
+    drawn = set()
+    draw = fsdim.constructor.sample_good_string
+
+    def recording(*draw_args):
+        word = draw(*draw_args)
+        drawn.add(word.digits)
+        return word
+
+    monkeypatch.setattr(fsdim.constructor, "sample_good_string", recording)
+    return select_step(*args, **kwargs), drawn
 
 
 def _brute_force_choice(lam, m, sched, alphabet, t_cap=None):
@@ -227,16 +224,17 @@ def _brute_force_choice(lam, m, sched, alphabet, t_cap=None):
     return best
 
 
-def test_select_step_matches_brute_force_argmin():
+def test_select_step_matches_brute_force_argmin(monkeypatch):
     sched = _tiny_two_base_schedule()
     disc = DiscrepancyParams.default()
     lam = Fraction(1, 5)
-    choice = select_step(lam, 2, sched, 2, ExhaustiveSearch(), disc)
+    choice, drawn = _select_drawing(monkeypatch, lam, 2, sched, 2, SampledSearch(200, 0), disc)
     obj, word, xi = _brute_force_choice(lam, 2, sched, 3)
+    assert len(drawn) == 3 ** len(word)  # every block drawn: the argmin is global
     assert choice.digit_block == word
     assert choice.xi == xi
     assert choice.objective == pytest.approx(obj, abs=1e-9)
-    assert choice.candidates_examined == 3 ** len(word)
+    assert choice.candidates_examined == 200
     assert choice.filter_vacuous  # far below the filter threshold
     assert choice.objective <= choice.objective_mean + 1e-12
 
@@ -255,9 +253,9 @@ def test_select_step_objective_scale_invariance(monkeypatch):
     sched = _tiny_two_base_schedule()
     disc = DiscrepancyParams.default()
     lam = Fraction(1, 5)
-    plain = select_step(lam, 2, sched, 2, ExhaustiveSearch(), disc)
+    plain = select_step(lam, 2, sched, 2, SampledSearch(200, 0), disc)
     monkeypatch.setattr(fsdim.constructor, "a_m", lambda *args: 3.7 * a_m(*args))
-    scaled = select_step(lam, 2, sched, 2, ExhaustiveSearch(), disc)
+    scaled = select_step(lam, 2, sched, 2, SampledSearch(200, 0), disc)
     assert scaled.objective == pytest.approx(3.7 * plain.objective)
     assert scaled.digit_block == plain.digit_block
     assert scaled.xi == plain.xi
@@ -273,46 +271,46 @@ def test_select_step_sampled_is_deterministic():
     assert other.candidates_examined == 16  # same budget, possibly same pick
 
 
-def test_select_step_single_class_takes_lexicographic_minimum():
+def test_select_step_single_class_takes_lexicographic_minimum(monkeypatch):
     sched = Schedule((4, 4), TableGrowth((3, 8, 13)))
     disc = DiscrepancyParams.default()
-    choice = select_step(Fraction(1, 9), 2, sched, 2, ExhaustiveSearch(), disc)
+    choice, drawn = _select_drawing(
+        monkeypatch, Fraction(1, 9), 2, sched, 2, SampledSearch(100, 0), disc)
+    assert len(drawn) == 4 ** len(choice.digit_block)  # the all-zero block was drawn
     assert choice.objective == 0.0
     assert choice.objective_mean == 0.0
     assert choice.digit_block.digits == (0,) * len(choice.digit_block)
 
 
-def test_select_step_criterion_one_uses_restricted_alphabet():
+def test_select_step_criterion_one_uses_restricted_alphabet(monkeypatch):
     plan = StagePlan({2: Fraction(1, 2)}, growth=TableGrowth((3, 8, 13)))
     sched = Schedule((4, 4), plan.growth)
     disc = DiscrepancyParams.default()
-    choice = select_step(Fraction(1, 9), 2, sched, 1, ExhaustiveSearch(), disc, plan)
+    choice, drawn = _select_drawing(
+        monkeypatch, Fraction(1, 9), 2, sched, 1, SampledSearch(32, 0), disc, plan)
     assert choice.digit_block.base == 2
     assert all(d < 2 for d in choice.digit_block.digits)
-    assert choice.candidates_examined == 2 ** len(choice.digit_block)
+    assert len(drawn) == 2 ** len(choice.digit_block)  # every restricted block
 
 
 def test_select_step_rejects_bad_arguments():
     sched = _tiny_two_base_schedule()
     disc = DiscrepancyParams.default()
     with pytest.raises(ValueError):
-        select_step(0, 2, sched, 3, ExhaustiveSearch(), disc)
+        select_step(0, 2, sched, 3, SampledSearch(), disc)
     with pytest.raises(ValueError):
-        select_step(0, 2, sched, 1, ExhaustiveSearch(), disc)  # no plan
+        select_step(0, 2, sched, 1, SampledSearch(), disc)  # no plan
     plan = StagePlan({2: Fraction(1, 2)})
     with pytest.raises(ValueError):  # p(2) = 1 is not a usable alphabet
         select_step(0, 1, Schedule((2,), TableGrowth((2, 7))), 1,
-                    ExhaustiveSearch(), disc, plan)
-    with pytest.raises(ValueError, match="exhaustive limit 200000"):
-        # 2**26 candidates, above EXHAUSTIVE_LIMIT
-        select_step(0, 1, Schedule((2,), TableGrowth((2, 30))), 2, ExhaustiveSearch(), disc)
+                    SampledSearch(), disc, plan)
 
 
 def test_select_step_no_candidate_error():
     # an absurdly tight filter rejects every block at this length
     sched = Schedule((2,), TableGrowth((2, 60)))
     disc = DiscrepancyParams(c={2: 1e-9})
-    with pytest.raises(NoCandidateError):
+    with pytest.raises(FilterGiveUp):
         select_step(0, 1, sched, 2, SampledSearch(4, 0), disc)
 
 
@@ -584,6 +582,12 @@ def test_construction_params_validation():
         ConstructionParams(tolerance=0.0)
     with pytest.raises(ValueError):
         ConstructionParams(transition_margin=-0.1)
+    with pytest.raises(ValueError):
+        ConstructionParams(transition_l=-1.0)
+    for name in ("tolerance", "transition_l", "transition_margin", "weyl_gamma"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ConstructionParams(**{name: value})
     with pytest.raises(ValueError):
         ConstructionParams(step_budget=0)
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from fsdim.base_arith import DigitWord
 from fsdim.blockstats import occurrence_count
 from fsdim.discrepancy import (
+    DEFAULT_N,
     DiscrepancyParams,
     FilterGiveUp,
     WordTooShortError,
@@ -121,6 +122,20 @@ def test_sample_good_string_gives_up():
     params = DiscrepancyParams({2: 1e-9})
     with pytest.raises(FilterGiveUp, match="after 64 draws"):
         sample_good_string(2, 100, 0, params)
+
+
+def test_sample_good_string_short_words_pass_untested(monkeypatch):
+    import fsdim.discrepancy
+
+    def no_test(*args):
+        raise AssertionError("the filter ran on a vacuous word")
+
+    monkeypatch.setattr(fsdim.discrepancy, "low_discrepancy_test", no_test)
+    tight = DiscrepancyParams({3: 1e-9})  # would reject every testable word
+    for length in (1, 7, DEFAULT_N):
+        rng = random.Random(f"seed:{length}")
+        first = tuple(rng.randrange(3) for _ in range(length))
+        assert sample_good_string(3, length, f"seed:{length}", tight).digits == first
 
 
 # ---------------------------------------------------------------------------

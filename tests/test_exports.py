@@ -1,8 +1,11 @@
-"""The export surface: every exported name resolves, so star imports work."""
+"""The export surface: every exported name resolves, so star imports work,
+and no module imports a name it never uses."""
 
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +35,31 @@ def test_package_reexports_listed_names():
     stray = [n for n, v in public.items() if n not in listed or listed[n] is not v]
     assert not stray, f"fsdim re-exports names no submodule lists: {stray}"
     exec("from fsdim import *", {})
+
+
+# Imports kept on purpose although the importing module never reads them,
+# with the reason; entries that stop being unused imports fail the test too.
+UNUSED_IMPORTS_ALLOWED = {
+    # perfbench's tracing.PATCHES wraps this module attribute
+    ("constructor", "low_discrepancy_test"),
+}
+
+
+def _unused_imports(path: Path) -> set:
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return imported - used
+
+
+def test_modules_use_every_import():
+    # fsdim/__init__.py is left out: its imports are the package's re-exports
+    src = Path(fsdim.__file__).parent
+    found = {(path.stem, name) for path in sorted(src.glob("*.py"))
+             if path.name != "__init__.py" for name in _unused_imports(path)}
+    assert found == UNUSED_IMPORTS_ALLOWED

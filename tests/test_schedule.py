@@ -17,7 +17,6 @@ from fsdim.schedule import (
     TableGrowth,
     angle_base,
     beta_m,
-    beta_prime_m,
     equivalent,
     integer_root,
     parse_plan,
@@ -297,7 +296,6 @@ def test_beta_m_examples():
     sched = Schedule((2, 3), ScaledGrowth())
     assert beta_m(sched, alpha, 1) == 0.5
     assert beta_m(sched, alpha, 2) == 0.3
-    assert beta_prime_m(sched, alpha, 2) == 0.15
     constant = Schedule((4, 2, 8), ScaledGrowth())
     for m in (1, 2, 3):
         assert beta_m(constant, alpha, m) == 0.5
@@ -360,7 +358,7 @@ def test_stage_plan_consistency_over_many_stages():
     }
     plan = StagePlan(q)
     for k in range(1, 101):
-        r = plan.r_k(k)
+        r = r_seq(k)
         assert plan.p_of(plan.v_of(k)) == plan.v_star(k)
         assert plan.q_for(plan.v_of(k)) == plan.q_for(r)
         assert plan.v_star(k) <= plan.v_of(k)
