@@ -122,14 +122,28 @@ def test_digits_prefix_matches_long_division_oracle():
         got = digits_prefix(x, base, n)
         assert got.base == base
         assert list(got) == oracle_digits(x.numerator, x.denominator, base, n)
-    # long prefixes, and denominators just below 2^31
+
+
+def test_digits_prefix_fast_path_agrees_with_scalar_path():
+    # The vectorized digit path of the orbit sums reads digit j as
+    # floor(base * r_j / den) over orbit_residues; it must agree with the
+    # scalar long division of digits_prefix. The lengths span several
+    # residue chunks, and the denominators just below 2^31 bring the int64
+    # products closest to overflowing.
     for x, base, n in [
         (Fraction(1234567, 9876543), 3, 3 * RESIDUE_CHUNK + 5),
         (Fraction(987654321, 2**31 - 1), 7, 2 * RESIDUE_CHUNK),
         (Fraction(2**31 - 3, 2**31 - 2), 10, RESIDUE_CHUNK + 1),
     ]:
-        got = digits_prefix(x, base, n)
-        assert list(got) == oracle_digits(x.numerator, x.denominator, base, n)
+        assert x.denominator < 2**31
+        got = list(digits_prefix(x, base, n))
+        assert got == oracle_digits(x.numerator, x.denominator, base, n)
+        fast = [
+            int(d)
+            for r in orbit_residues(x.numerator, x.denominator, base, n)
+            for d in r * base // x.denominator
+        ]
+        assert fast == got
 
 
 def test_orbit_residues_chunks():
