@@ -106,19 +106,44 @@ def digit_at(x: Rational, base: int, i: int) -> int:
     return (f.numerator * base**i // f.denominator) % base
 
 
+# digits_prefix converts leaves of at most this many digits one by one
+_LEAF_DIGITS = 64
+
+
 def digits_prefix(x: Rational, base: int, n: int) -> DigitWord:
-    """The first n digits of x in the given base, by exact long division."""
+    """The first n digits of x in the given base, exactly as long division gives them.
+
+    N = floor(num * base**n / den) holds the n digits; one big division
+    forms it, and a divide-and-conquer radix conversion (Brent &
+    Zimmermann, *Modern Computer Arithmetic*, section 1.7) splits it by
+    base**(2**k) into halves down to leaves of at most 64 digits.
+    CPython 3.11 divides big integers by schoolbook, so the cost grows
+    about as n**1.6 in practice; it is not asymptotically subquadratic.
+    """
     f = as_unit(x)
     if base < 2:
         raise ValueError(f"base must be at least 2, got {base}")
     if n < 0:
         raise ValueError(f"prefix length must be nonnegative, got {n}")
-    r, den = f.numerator, f.denominator
-    digits = []
-    for _ in range(n):
-        r *= base
-        d, r = divmod(r, den)
-        digits.append(d)
+    powers = [base]  # powers[k] = base**(2**k), for every 2**k < n
+    while 1 << len(powers) < n:
+        powers.append(powers[-1] * powers[-1])
+    digits: list[int] = []
+
+    def convert(value: int, width: int) -> None:
+        # append value's base digits, zero-padded to width
+        if width <= _LEAF_DIGITS:
+            leaf = [0] * width
+            for i in range(width - 1, -1, -1):
+                value, leaf[i] = divmod(value, base)
+            digits.extend(leaf)
+            return
+        k = (width - 1).bit_length() - 1  # 2**k < width <= 2**(k+1)
+        high, low = divmod(value, powers[k])
+        convert(high, width - (1 << k))
+        convert(low, 1 << k)
+
+    convert(f.numerator * base**n // f.denominator, n)
     return DigitWord(base, tuple(digits))
 
 

@@ -9,11 +9,18 @@ provides Weyl prefix averages, the step objective A_m that the
 construction minimizes with its exact oracle a_m_naive, sine-ratio
 products, the all-cosines constant eta = 2/pi, and a certificate
 turning small Weyl averages into a digit-uniformity guarantee.
+
+For x = k/D with small D, weyl_report reads its averages off one DFT
+instead: the orbit of k is k times the orbit of 1 mod D, so
+S_k(t) = S_1(t*k mod D), and the spectrum of the orbit of 1 serves every
+numerator of D.  The last (D, b, n) spectrum is kept in a one-entry
+cache of 16*(D//2+1) bytes (at most 134 MB at _FFT_DENOMINATOR_LIMIT).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +50,8 @@ __all__ = [
 
 Real = Union[float, Fraction, int]
 
-# bincount table for the DFT fast path must fit in memory
+# The DFT path counts residues in a table of D int64s and keeps the
+# last half spectrum of 16*(D//2+1) bytes (134 MB at this limit) cached.
 _FFT_DENOMINATOR_LIMIT = 1 << 24
 
 
@@ -107,22 +115,55 @@ class WeylReport:
         return max(abs(v) for v in self.averages.values())
 
 
-def _averages_fft(num: int, den: int, b: int, n: int, t_max: int) -> dict[int, complex]:
-    # counts[v] = #{1 <= j <= n : num * b**(j-1) mod den == v}
+@functools.lru_cache(maxsize=1)
+def _orbit_spectrum(den: int, b: int, n: int) -> np.ndarray:
+    """Half spectrum of the orbit of 1/den: entry s is S_1(s) for 0 <= s <= den/2.
+
+    S_1(s) = sum of e(s * b**(j-1) / den) over j = 1..n; values above
+    den/2 read as conj(half[den - s]).  The array is read-only because
+    the cache hands the same one to every caller.
+    """
+    # counts[v] = #{1 <= j <= n : b**(j-1) mod den == v}; each bincount
+    # takes a block of at least den residues, so its pass over the den
+    # slots costs no more than the residues it counts
     counts = np.zeros(den, dtype=np.int64)
-    for residues in orbit_residues(num, den, b, n):
-        counts += np.bincount(residues, minlength=den)
-    # sum_j e(t*r_j/den) = sum_v counts[v] * e(t*v/den) = conj(FFT(counts))[t mod den]
-    spectrum = np.conj(np.fft.fft(counts))
-    return {t: complex(spectrum[t % den]) / n for t in range(1, t_max + 1)}
+    block: list[np.ndarray] = []
+    size = 0
+    for residues in orbit_residues(1, den, b, n):
+        block.append(residues)
+        size += len(residues)
+        if size >= den:
+            counts += np.bincount(np.concatenate(block), minlength=den)
+            block, size = [], 0
+    if block:
+        counts += np.bincount(np.concatenate(block), minlength=den)
+    # sum_v counts[v] * e(s*v/den) = conj(DFT(counts))[s]
+    half = np.conj(np.fft.rfft(counts))
+    half.setflags(write=False)
+    return half
+
+
+def _averages_fft(num: int, den: int, b: int, n: int, t_max: int) -> dict[int, complex]:
+    # the orbit of num is num times the orbit of 1, so S_num(t) = S_1(t*num mod den)
+    half = _orbit_spectrum(den, b, n)
+    averages = {}
+    for t in range(1, t_max + 1):
+        s = t * num % den
+        value = complex(half[s]) if 2 * s <= den else complex(half[den - s]).conjugate()
+        averages[t] = value / n
+    return averages
 
 
 def weyl_report(x: Real, b: int, t_max: int, n: int) -> WeylReport:
     """Averages for every t in 1..t_max over the length-n prefix orbit.
 
     Moduli for negative t equal those for |t|, so only positive t are
-    stored.  A DFT over residue counts handles rational x with small
-    denominator; otherwise the orbit phases are summed once per t.
+    stored.  For rational x = k/D with 1 < D <= _FFT_DENOMINATOR_LIMIT
+    every average is S_1(t*k mod D)/n, read from the spectrum of the
+    orbit of 1: one DFT per (D, b, n) serves every numerator, and a
+    one-entry cache keeps its 16*(D//2+1) bytes (at most 134 MB) until
+    another (D, b, n) replaces it.  Otherwise the orbit phases are
+    summed once per t.
     """
     if t_max < 1:
         raise ValueError(f"need t_max >= 1, got {t_max}")

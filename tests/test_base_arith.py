@@ -122,6 +122,26 @@ def test_digits_prefix_matches_long_division_oracle():
         got = digits_prefix(x, base, n)
         assert got.base == base
         assert list(got) == oracle_digits(x.numerator, x.denominator, base, n)
+    # the divide-and-conquer conversion splits by base**(2**k) above leaves
+    # of 64 digits; these lengths sit on and next to the split points
+    rng = random.Random(71)
+    lengths = [0, 1, 63, 64, 65, 128, 129, 4097] + [rng.randrange(0, 301) for _ in range(40)]
+    for i, n in enumerate(lengths):
+        base = 2 + i % 35  # bases 2..36
+        den = rng.randrange(1, 2 ** rng.randrange(1, 2000))
+        for num in (0, rng.randrange(0, den)):
+            x = Fraction(num, den)
+            got = digits_prefix(x, base, n)
+            assert got.base == base and len(got) == n
+            assert list(got) == oracle_digits(x.numerator, x.denominator, base, n)
+    # the measure-sized point: a 6x10^4-bit denominator, 4x10^4 digits
+    den = 4**15000 * 3**18929
+    x = Fraction(rng.randrange(1, den), den)
+    for base in (3, 4):
+        word = digits_prefix(x, base, 40_000)
+        assert len(word) == 40_000
+        for i in sorted(rng.sample(range(1, 40_001), 16)) + [1, 40_000]:
+            assert word[i - 1] == digit_at(x, base, i)
 
 
 def test_digits_prefix_fast_path_agrees_with_scalar_path():

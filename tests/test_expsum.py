@@ -4,11 +4,15 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fsdim.expsum import (
+    _FFT_DENOMINATOR_LIMIT,
+    _averages_fft,
+    _orbit_spectrum,
     a_m,
     a_m_naive,
     certificate_gamma,
@@ -112,6 +116,65 @@ def test_weyl_report_matches_per_t_averages():
     small = weyl_report(0.3, 2, 4, 40)
     for t in range(1, 5):
         assert cmath.isclose(small.averages[t], weyl_average(0.3, 2, t, 40), abs_tol=1e-9)
+
+
+def test_weyl_report_fft_path_matches_weyl_average():
+    # every average of the DFT path is S_1(t*num mod D) / n read from the
+    # spectrum of the orbit of 1; weyl_average sums the orbit of num itself
+    cases = [
+        (Fraction(5, 12), 2, 40, 30),  # 12 shares 2 with the base: preperiodic orbit
+        (Fraction(7, 18), 3, 25, 40),
+        (Fraction(1, 2), 2, 5, 6),  # D = 2
+        (Fraction(1, 2), 3, 9, 4),
+        (Fraction(3, 8), 3, 20, 17),  # even D coprime to the base
+        (Fraction(3, 97), 2, 300, 120),  # two numerators of one denominator
+        (Fraction(5, 97), 2, 300, 120),  # back to back: the second one hits the cache
+    ]
+    mirrored = zero = 0
+    for x, b, n, t_max in cases:
+        num, den = x.numerator, x.denominator
+        assert 1 < den <= _FFT_DENOMINATOR_LIMIT
+        report = weyl_report(x, b, t_max, n)
+        for t in range(1, t_max + 1):
+            s = t * num % den
+            zero += s == 0
+            mirrored += 2 * s > den
+            assert cmath.isclose(report.averages[t], weyl_average(x, b, t, n), abs_tol=1e-9)
+    assert zero and mirrored  # t*num = 0 (mod D) and reads above D/2 both occurred
+    # the identity needs no gcd(num, D) = 1: 6/12, 4/12 and 10/15 as given
+    for num, den, b, n in [(6, 12, 2, 20), (4, 12, 5, 33), (10, 15, 2, 50)]:
+        averages = _averages_fft(num, den, b, n, 2 * den)
+        for t in range(1, 2 * den + 1):
+            expected = weyl_average(Fraction(num, den), b, t, n)
+            assert cmath.isclose(averages[t], expected, abs_tol=1e-9)
+
+
+def test_orbit_spectrum_cache(monkeypatch):
+    calls = []
+    real_rfft = np.fft.rfft
+
+    def counting_rfft(a, *args, **kwargs):
+        calls.append(len(a))
+        return real_rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    _orbit_spectrum.cache_clear()
+    den = 1019
+    weyl_report(Fraction(3, den), 2, 50, 700)
+    weyl_report(Fraction(500, den), 2, 50, 700)
+    assert calls == [den]  # two numerators sharing (D, b, n): one DFT
+    assert _orbit_spectrum.cache_info().currsize == 1
+    weyl_report(Fraction(3, den), 2, 50, 701)  # new n
+    assert len(calls) == 2 and _orbit_spectrum.cache_info().currsize == 1
+    weyl_report(Fraction(3, den), 3, 50, 701)  # new b
+    assert len(calls) == 3 and _orbit_spectrum.cache_info().currsize == 1
+    weyl_report(Fraction(3, den), 2, 50, 700)  # the first key was evicted
+    assert len(calls) == 4 and _orbit_spectrum.cache_info().currsize == 1
+    half = _orbit_spectrum(den, 2, 700)
+    assert len(calls) == 4 and half.shape == (den // 2 + 1,)
+    assert not half.flags.writeable
+    with pytest.raises(ValueError):
+        half[0] = 0
 
 
 def test_certificate_constants():
