@@ -239,18 +239,43 @@ def atomic_write_text(path: Union[str, os.PathLike], text: str) -> None:
         raise
 
 
+# read_digit_file's byte path takes ASCII digits and these separators, on
+# which bytes.split() and str.split() agree; 0x1c-0x1f, on which only
+# str.split() splits, go to the token path
+_ASCII_SPACE = np.zeros(256, dtype=bool)
+_ASCII_SPACE[list(b" \t\n\r\x0b\x0c")] = True
+_ASCII_DIGIT = np.zeros(256, dtype=bool)
+_ASCII_DIGIT[list(b"0123456789")] = True
+
+
 def read_digit_file(path: Union[str, os.PathLike]) -> DigitWord:
-    """Parse a digit file written by :func:`write_digit_file`."""
-    with open(path, "r") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("base="):
-            raise ValueError(f"{path}: first line must be 'base=<b>', got {header!r}")
-        try:
-            base = int(header[len("base=") :])
-        except ValueError:
-            raise ValueError(f"{path}: malformed base declaration {header!r}") from None
-        try:
-            digits = tuple(int(tok) for tok in fh.read().split())
-        except ValueError:
-            raise ValueError(f"{path}: non-integer digit token") from None
+    """Parse a digit file written by :func:`write_digit_file`.
+
+    The file is UTF-8 text: a ``base=<b>`` line ending at the first
+    ``\\n``, ``\\r`` or ``\\r\\n``, then whitespace-separated integer
+    tokens.  A body made only of ASCII whitespace and single ASCII digits
+    is read in one numpy pass over its bytes; any other body is split and
+    parsed token by token with ``int()``.  Both accept the same files and
+    give the same digits.  Raises ``ValueError`` on a bad header, a token
+    that is not an integer, or a digit outside ``0..b-1``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # the header line ends where universal newlines would end it
+    cut = min((i for i in (data.find(b"\n"), data.find(b"\r")) if i >= 0), default=len(data))
+    header = data[:cut].decode("utf-8").strip()
+    if not header.startswith("base="):
+        raise ValueError(f"{path}: first line must be 'base=<b>', got {header!r}")
+    try:
+        base = int(header[len("base=") :])
+    except ValueError:
+        raise ValueError(f"{path}: malformed base declaration {header!r}") from None
+    body = np.frombuffer(data, dtype=np.uint8, offset=cut)
+    is_digit = _ASCII_DIGIT[body]
+    if (is_digit | _ASCII_SPACE[body]).all() and not (is_digit[1:] & is_digit[:-1]).any():
+        return DigitWord(base, tuple((body[is_digit] - 48).tolist()))
+    try:
+        digits = tuple(int(tok) for tok in data[cut:].decode("utf-8").split())
+    except ValueError:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: non-integer digit token") from None
     return DigitWord(base, digits)

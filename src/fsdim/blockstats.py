@@ -230,13 +230,23 @@ def prefix_entropies(
 def _occurrence_ranks(keys: np.ndarray) -> np.ndarray:
     """For each window, how many earlier windows hold the same block."""
     # a stable sort keeps each block's windows in position order, so a
-    # window's offset inside its run of equal keys is its occurrence rank;
-    # rebinding keys and del keep at most four window-sized arrays alive
+    # window's offset inside its run of equal keys is its occurrence rank.
+    # Keys below 2**16 are sorted as uint16, which numpy radix-sorts.  A
+    # run starts where the sorted key changes, and the running maximum of
+    # the run starts gives each window its own.  Rebinding and del keep at
+    # most three int64 window-sized arrays alive besides the caller's keys.
+    if keys.max() < 1 << 16:
+        keys = keys.astype(np.uint16)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    offsets = np.arange(keys.size)
-    offsets -= np.searchsorted(keys, keys)
+    head = np.flatnonzero(keys[1:] != keys[:-1]) + 1  # one entry per run
     del keys
+    starts = np.zeros_like(order)
+    starts[head] = head
+    np.maximum.accumulate(starts, out=starts)
+    offsets = np.arange(order.size)
+    offsets -= starts
+    del starts
     ranks = np.empty_like(offsets)
     ranks[order] = offsets
     return ranks

@@ -96,7 +96,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.digit_file))[0]
     for base in bases:
-        reread = DigitWord(base, word.digits)
+        reread = word if base == word.base else DigitWord(base, word.digits)
         profile = entropy_profile(reread, args.lmax, checkpoints)
         estimate = dimension_estimate(profile)
         header = (

@@ -293,6 +293,12 @@ def test_digit_file_rejects_malformed(tmp_path):
     bad.write_text("base=2\n0 2\n")
     with pytest.raises(ValueError):
         read_digit_file(bad)
+    bad.write_text("base=2\n1.0\n")
+    with pytest.raises(ValueError):
+        read_digit_file(bad)
+    bad.write_bytes(b"base=2\n0 1 \xff\n")  # not UTF-8
+    with pytest.raises(ValueError):
+        read_digit_file(bad)
 
 
 def test_digit_file_roundtrip_many_bases(tmp_path):
@@ -303,3 +309,30 @@ def test_digit_file_roundtrip_many_bases(tmp_path):
         path = tmp_path / f"w{base}.txt"
         write_digit_file(path, w)
         assert read_digit_file(path) == w
+
+
+def token_parse(path) -> DigitWord:
+    """Reference parser: universal-newline UTF-8 text, one int() per token."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        assert header.startswith("base=")
+        return DigitWord(int(header[len("base=") :]), tuple(int(t) for t in fh.read().split()))
+
+
+@pytest.mark.parametrize("raw, base, digits", [
+    (b"base=12\n10 11 0 3\n", 12, (10, 11, 0, 3)),  # multi-character tokens
+    (b"base=2\n01 1\n", 2, (1, 1)),  # one token "01", not two digits
+    (b"base=3\n+1 2\n", 3, (1, 2)),
+    (b"base=3\n0\t1\t2\n", 3, (0, 1, 2)),
+    (b"base=3\r\n0 1\r\n2\r\n", 3, (0, 1, 2)),
+    (b"base=3\r0 1\r2\r", 3, (0, 1, 2)),  # a lone CR ends the header line
+    (b"base=3\n0 1 2", 3, (0, 1, 2)),  # no trailing newline
+    (b"base=3\n", 3, ()),
+    (b"base=3", 3, ()),
+    ("base=4\n0 \u0663 1\n".encode("utf-8"), 4, (0, 3, 1)),  # ARABIC-INDIC THREE
+    (b"base=4\n3\x1c2\n", 4, (3, 2)),  # str.split() separates on U+001C
+])
+def test_digit_file_parse_paths_match_token_parser(tmp_path, raw, base, digits):
+    path = tmp_path / "digits.txt"
+    path.write_bytes(raw)
+    assert read_digit_file(path) == DigitWord(base, digits) == token_parse(path)

@@ -4,13 +4,17 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fsdim import blockstats
 from fsdim.base_arith import DigitWord
 from fsdim.blockstats import (
     BlockCounter,
+    _occurrence_ranks,
+    _packed_key_array,
     block_counts,
     block_entropy,
     dimension_estimate,
@@ -198,6 +202,66 @@ def test_prefix_entropies_match_naive_oracle_at_every_prefix():
             got = prefix_entropies(word.digits, base, l, range(l, n + 1))
             want = [naive_entropy(word.prefix(k), l) for k in range(l, n + 1)]
             assert got.tolist() == pytest.approx(want, abs=1e-12)
+
+
+def running_count_ranks(keys) -> list[int]:
+    """How many earlier windows hold the same key, by a running count."""
+    seen: dict[int, int] = {}
+    ranks = []
+    for k in keys:
+        ranks.append(seen.get(k, 0))
+        seen[k] = ranks[-1] + 1
+    return ranks
+
+
+def searchsorted_ranks(keys: np.ndarray) -> np.ndarray:
+    """Occurrence ranks by an int64 stable argsort and searchsorted."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(keys.size) - np.searchsorted(ordered, ordered)
+    return ranks
+
+
+def de_bruijn(base: int, l: int) -> list[int]:
+    """A word of length base**l + l - 1 whose length-l windows are all distinct."""
+    a = [0] * (base * l)
+    seq: list[int] = []
+
+    def db(t: int, p: int) -> None:
+        if t > l:
+            if l % p == 0:
+                seq.extend(a[1 : p + 1])
+            return
+        a[t] = a[t - p]
+        db(t + 1, p)
+        for j in range(a[t - p] + 1, base):
+            a[t] = j
+            db(t + 1, t)
+
+    db(1, 1)
+    return seq + seq[: l - 1]
+
+
+@pytest.mark.parametrize("base, l, top", [
+    (4, 8, 65535), (2, 16, 65535),  # keys fit uint16
+    (2, 17, 2**17 - 1), (3, 11, 3**11 - 1),  # keys need int64
+])
+def test_occurrence_ranks_match_running_count(monkeypatch, base, l, top):
+    rng = np.random.default_rng([base, l])
+    # random digits ending in the largest block, on either side of 2**16
+    digits = np.concatenate((rng.integers(0, base, 50_000), np.full(l, base - 1)))
+    for word in (digits, np.zeros(2_000, dtype=np.int64), np.array(de_bruijn(base, l))):
+        keys = _packed_key_array(word, base, l)
+        assert _occurrence_ranks(keys).tolist() == running_count_ranks(keys.tolist())
+    assert int(keys.max()) == top  # the de Bruijn word holds every block once
+    assert not _occurrence_ranks(keys).any()
+
+    ends = sorted(set(rng.integers(l, digits.size + 1, 20).tolist()) | {digits.size})
+    got = prefix_entropies(digits, base, l, ends)
+    monkeypatch.setattr(blockstats, "_occurrence_ranks", searchsorted_ranks)
+    want = prefix_entropies(digits, base, l, ends)
+    assert [h.hex() for h in got.tolist()] == [h.hex() for h in want.tolist()]
 
 
 def test_prefix_entropies_validation():

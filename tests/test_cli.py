@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import random
 
@@ -73,6 +74,38 @@ def test_analyze_rejects_base_smaller_than_digits(bits_file, capsys):
 def test_analyze_rejects_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.txt")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    "base=4\n0 x 1\n",
+    "base=4\n1.0\n",
+    "base=4\n0 4 1\n",  # digit >= base on the byte path
+    "base=4\n0 12 1\n",  # digit >= base on the token path
+    "radix=4\n0 1\n",
+])
+def test_analyze_rejects_malformed_digit_file(tmp_path, capsys, body):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "cannot read digit file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base, n, lmax, digest", [
+    # 4^6 blocks: single-digit tokens, ranks sorted as uint16
+    (4, 20_000, 6, "61c6fd82f2d5b8533d03a5c74716e1f4c4a84102de58aa6fd70e23abc481f54d"),
+    # tokens 10 and 11: parsed token by token
+    (12, 3_000, 2, "ba4d4635e5dc956ac26f19c1046c5f085cfe090c2b2eb9d8cbab7480fc444a9e"),
+])
+def test_analyze_profile_rows_golden(tmp_path, capsys, base, n, lmax, digest):
+    # sha256 of every profile row after the header comment, which holds the path
+    rng = random.Random(base)
+    path = tmp_path / f"golden{base}.txt"
+    write_digit_file(path, DigitWord(base, tuple(rng.randrange(base) for _ in range(n))))
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--lmax", str(lmax), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = (out / f"golden{base}_profile_base{base}.csv").read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(rows).hexdigest() == digest
 
 
 def test_analyze_rejects_checkpoint_past_end(zeros_file, capsys):
