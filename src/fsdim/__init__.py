@@ -32,7 +32,6 @@ from fsdim.constructor import (
     ConstructionParams,
     ConstructionTrace,
     RequirementVerdict,
-    SampledSearch,
     StageBounds,
     StepChoice,
     check_requirements,

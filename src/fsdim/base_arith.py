@@ -54,9 +54,13 @@ class DigitWord:
     def __post_init__(self) -> None:
         if self.base < 2:
             raise ValueError(f"base must be at least 2, got {self.base}")
-        for d in self.digits:
-            if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} out of range for base {self.base}")
+        # set() hashes the digits in one C-level pass, and min/max then read
+        # only the distinct values; the loop runs only to name the first bad digit
+        values = set(self.digits)
+        if values and not (0 <= min(values) and max(values) < self.base):
+            for d in self.digits:
+                if not 0 <= d < self.base:
+                    raise ValueError(f"digit {d} out of range for base {self.base}")
 
     @classmethod
     def from_digits(cls, base: int, digits: Iterable[int]) -> "DigitWord":

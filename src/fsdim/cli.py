@@ -26,7 +26,6 @@ from .base_arith import atomic_write_text as _atomic_text
 from .blockstats import dimension_estimate, entropy_profile
 from .constructor import (
     ConstructionParams,
-    SampledSearch,
     check_requirements,
     monitor_summary,
     run_construction,
@@ -121,7 +120,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
         plan = read_plan_file(args.plan)
     except (OSError, ValueError) as exc:
         return _fail(f"invalid plan: {exc}", 2)
-    mode = SampledSearch(samples=args.samples, seed=args.seed)
     params = ConstructionParams(
         tolerance=args.tolerance,
         transition_l=args.transition_l,
@@ -130,9 +128,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
         min_digits=args.min_digits,
         step_budget=args.budget,
         t_cap=args.t_cap,
+        samples=args.samples,
+        seed=args.seed,
     )
     try:
-        trace = run_construction(plan, args.stages, mode, params)
+        trace = run_construction(plan, args.stages, params)
     except FilterGiveUp as exc:
         return _fail(f"candidate search failed: {exc}", 2)
 
@@ -248,12 +248,19 @@ def _orbit_digit_counts(num: int, den: int, base: int, n: int) -> list[int]:
     return counts.tolist()
 
 
-_SUITES = ("viete", "sin-bound", "am-oracle", "discrepancy-oracle", "weyl-certificate")
+# suite name -> check runner, called with the --seed value
+_SUITES = {
+    "viete": lambda seed: _suite_viete(),
+    "sin-bound": _suite_sin_bound,
+    "am-oracle": _suite_am_oracle,
+    "discrepancy-oracle": _suite_discrepancy_oracle,
+    "weyl-certificate": lambda seed: _suite_weyl_certificate(),
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "all":
-        names = _SUITES
+        names = tuple(_SUITES)
     elif args.suite in _SUITES:
         names = (args.suite,)
     else:
@@ -261,17 +268,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                      f" {', '.join(_SUITES)} or all", 2)
     failures = 0
     for name in names:
-        if name == "viete":
-            checks = _suite_viete()
-        elif name == "sin-bound":
-            checks = _suite_sin_bound(args.seed)
-        elif name == "am-oracle":
-            checks = _suite_am_oracle(args.seed)
-        elif name == "discrepancy-oracle":
-            checks = _suite_discrepancy_oracle(args.seed)
-        else:
-            checks = _suite_weyl_certificate()
-        for label, passed, detail in checks:
+        for label, passed, detail in _SUITES[name](args.seed):
             print(f"{'PASS' if passed else 'FAIL'} {name}/{label}: {detail}")
             failures += 0 if passed else 1
     return 1 if failures else 0

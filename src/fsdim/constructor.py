@@ -3,7 +3,8 @@
 Each step m rounds the current point up to a grid value eta and then
 appends one block of digits at positions a_m+1 .. b_m-2 (the final two
 positions are zeroed as carry guards, so earlier digits never move
-again).  Candidate blocks are seeded rejection-sampled draws through
+again).  Candidate blocks are ConstructionParams.samples rejection-sampled
+draws, seeded per step and slot from ConstructionParams.seed, through
 the low-discrepancy filter (blocks of at most DEFAULT_N digits pass it
 vacuously), scored by the cross-base exponential-sum objective; the
 chosen block is the objective argmin over the draws, ties broken
@@ -25,7 +26,8 @@ with ConstructionParams.tolerance (set it to None for the literal
 2^-k values) and the latter with ConstructionParams.transition_l, one
 constant for both substage close-outs.  Entropies are read for block
 lengths up to min(k, L_CAP) and the in-run Weyl check covers
-frequencies 1..WEYL_T_RANGE.
+frequencies 1..WEYL_T_RANGE.  ConstructionParams is the only
+configuration a run takes: search, filter constants and thresholds.
 """
 
 from __future__ import annotations
@@ -63,9 +65,7 @@ __all__ = [
     "ConditionVerdict",
     "ConstructionParams",
     "ConstructionTrace",
-    "EtaStep",
     "RequirementVerdict",
-    "SampledSearch",
     "StageBounds",
     "StepChoice",
     "SubstageCheck",
@@ -121,24 +121,19 @@ def delta_k(eps: float, base: int, l: int) -> float:
 # per-step point arithmetic
 
 
-@dataclass(frozen=True)
-class EtaStep:
-    """Grid rounding of a point: eta = g * base**-a is the least such >= it."""
+def eta_g_at(lam: Rational, base: int, a_pos: int) -> Fraction:
+    """Round lam up to the coarse grid with spacing base**-a_pos.
 
-    g: int
-    eta: Fraction
-
-
-def eta_g_at(lam: Rational, base: int, a_pos: int) -> EtaStep:
-    """Round lam up to the coarse grid with spacing base**-a_pos."""
+    The result is g * base**-a_pos for the least integer g putting it at
+    or above lam.
+    """
     f = as_unit(lam)
     if base < 2:
         raise ValueError(f"base must be at least 2, got {base}")
     if a_pos < 1:
         raise ValueError(f"grid position must be positive, got {a_pos}")
     scale = base**a_pos
-    g = -(-f.numerator * scale // f.denominator)
-    return EtaStep(g, Fraction(g, scale))
+    return Fraction(-(-f.numerator * scale // f.denominator), scale)
 
 
 def sigma_element_at(
@@ -157,11 +152,10 @@ def sigma_element_at(
         raise ValueError(f"block length {len(block)} != {width} open positions")
     if block.base > base:
         raise ValueError(f"alphabet {block.base} exceeds ambient base {base}")
-    step = eta_g_at(lam, base, a_pos)
     h = 0
     for d in block.digits:
         h = h * base + d
-    value = step.eta + Fraction(h, base ** (b_pos - 2))
+    value = eta_g_at(lam, base, a_pos) + Fraction(h, base ** (b_pos - 2))
     if value >= 1:
         raise ValueError("candidate point left the unit interval")
     return value
@@ -172,23 +166,11 @@ def sigma_element_at(
 
 
 @dataclass(frozen=True)
-class SampledSearch:
-    """Draw a fixed number of filter-passing blocks, seeded per step."""
-
-    samples: int = 64
-    seed: Union[int, str] = 0
-
-    def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError(f"samples must be positive, got {self.samples}")
-
-
-@dataclass(frozen=True)
 class StepChoice:
-    """Outcome of one selection step."""
+    """Outcome of one selection step; substage 1 drew restricted blocks."""
 
     m: int
-    criterion: int
+    substage: int
     u: int
     a_m: int
     b_m: int
@@ -199,7 +181,6 @@ class StepChoice:
     candidates_examined: int
     filter_vacuous: bool
     k: int = 0
-    substage: int = 0
 
 
 def select_step(
@@ -207,16 +188,15 @@ def select_step(
     m: int,
     sched: Schedule,
     criterion: int,
-    mode: SampledSearch,
-    disc: DiscrepancyParams,
+    params: ConstructionParams,
     plan: Optional[StagePlan] = None,
-    t_cap: Optional[int] = None,
 ) -> StepChoice:
     """Pick the step-m block minimizing the cross-base objective.
 
     criterion 1 draws blocks over the restricted alphabet p(u(m))
-    (``plan`` supplies it), criterion 2 over the full alphabet u(m).
-    Each of mode.samples candidates is drawn by sample_good_string, so
+    (``plan`` supplies it), criterion 2 over the full alphabet u(m); the
+    choice records the criterion as its substage.  Each of
+    params.samples candidates is drawn by sample_good_string, so
     candidates no longer than the filter threshold DEFAULT_N pass
     vacuously; a slot none of whose draws passes raises FilterGiveUp.
     Ties in the objective go to the lexicographically smallest block,
@@ -239,47 +219,39 @@ def select_step(
         raise ValueError(f"alphabet {alphabet} unusable in base {u}")
 
     # the objective is identically zero while every scheduled base is
-    # equivalent, so scoring reduces to taking the lexicographic minimum
+    # equivalent, so those draws score 0.0 and only the chosen block's
+    # point is ever computed
     trivial = all(equivalent(sched.base(h), u) for h in range(1, m + 1))
 
-    best_word: Optional[DigitWord] = None
-    best_xi: Optional[Fraction] = None
-    best_obj = math.inf
+    best = None  # ((objective, digits), word, point or None)
     total_obj = 0.0
-    for i in range(mode.samples):
+    for i in range(params.samples):
         # one independent stream per candidate slot: reruns are identical
         # no matter how many rejection attempts each slot needs
-        word = sample_good_string(alphabet, width, f"{mode.seed}:{m}:{i}", disc)
+        word = sample_good_string(alphabet, width, f"{params.seed}:{m}:{i}", params.disc)
         if trivial:
-            if best_word is None or word.digits < best_word.digits:
-                best_word = word
-            continue
-        xi_c = sigma_element_at(lam, u, a_pos, b_pos, word)
-        obj = a_m(xi_c, m, sched, t_cap)
+            xi_c, obj = None, 0.0
+        else:
+            xi_c = sigma_element_at(lam, u, a_pos, b_pos, word)
+            obj = a_m(xi_c, m, sched, params.t_cap)
         total_obj += obj
-        if (
-            best_word is None
-            or obj < best_obj
-            or (obj == best_obj and word.digits < best_word.digits)
-        ):
-            best_word, best_xi, best_obj = word, xi_c, obj
-    if trivial:
+        key = (obj, word.digits)
+        if best is None or key < best[0]:
+            best = (key, word, xi_c)
+    (best_obj, _), best_word, best_xi = best
+    if best_xi is None:
         best_xi = sigma_element_at(lam, u, a_pos, b_pos, best_word)
-        best_obj = 0.0
-        mean = 0.0
-    else:
-        mean = total_obj / mode.samples
     return StepChoice(
         m=m,
-        criterion=criterion,
+        substage=criterion,
         u=u,
         a_m=a_pos,
         b_m=b_pos,
         digit_block=best_word,
         xi=best_xi,
         objective=best_obj,
-        objective_mean=mean,
-        candidates_examined=mode.samples,
+        objective_mean=total_obj / params.samples,
+        candidates_examined=params.samples,
         filter_vacuous=width <= DEFAULT_N,
     )
 
@@ -296,19 +268,21 @@ WEYL_T_RANGE = 8
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Desk-scale knobs for a construction run.
+    """The one configuration of a construction run.
 
-    tolerance replaces every 2^-k style entropy threshold when set;
-    None keeps the literal values (they are vacuous for small k and
-    unattainably tight for large k, hence the override).  transition_l
-    stands in for the nonconstructive block-length constants of both
-    substage close-out inequalities.  min_digits forces each substage
-    to keep going until it has fixed that many digits, which is how
-    runs are sized; step_budget bounds each substage, and exhausting it
-    marks the trace incomplete instead of raising.  t_cap truncates the
-    objective's frequency range (exact runs use every |t| <= m, which
-    gets expensive in long multi-base runs).  transition_margin floors
-    the entropy-perturbation margin in the block-length inequality; the
+    Each step draws samples candidate blocks, seeded per step and slot
+    from seed, so reruns are identical.  tolerance replaces every 2^-k
+    style entropy threshold when set; None keeps the literal values
+    (they are vacuous for small k and unattainably tight for large k,
+    hence the override).  transition_l stands in for the
+    nonconstructive block-length constants of both substage close-out
+    inequalities.  min_digits forces each substage to keep going until
+    it has fixed that many digits, which is how runs are sized;
+    step_budget bounds each substage, and exhausting it marks the trace
+    incomplete instead of raising.  t_cap truncates the objective's
+    frequency range (exact runs use every |t| <= m, which gets expensive
+    in long multi-base runs).  transition_margin floors the
+    entropy-perturbation margin in the block-length inequality; the
     exact margins shrink exponentially in the stage index (the third
     stage already demands blocks of ~10^4 digits), so multi-stage runs
     at desk scale need a floor.  0 keeps the exact margins.  weyl_gamma
@@ -324,8 +298,12 @@ class ConstructionParams:
     step_budget: int = 4096
     t_cap: Optional[int] = None
     disc: DiscrepancyParams = field(default_factory=DiscrepancyParams.default)
+    samples: int = 64
+    seed: Union[int, str] = 0
 
     def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise ValueError(f"samples must be positive, got {self.samples}")
         for name in ("tolerance", "transition_l", "transition_margin", "weyl_gamma"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -402,6 +380,15 @@ def _prefix_deviation(
         hs = prefix_entropies(arr, base, l, ends)
         dev = max(dev, float((target - hs if shortfall else np.abs(hs - target)).max()))
     return dev
+
+
+def _point_deviation(
+    xi: Fraction, base: int, l_hi: int, target: float, lo: int, hi: int,
+    shortfall: bool = False,
+) -> float:
+    """_prefix_deviation of xi's base-`base` digits over prefixes lo..hi."""
+    return _prefix_deviation(digits_prefix(xi, base, hi).digits, base, l_hi, target, lo,
+                             shortfall)
 
 
 def _next_stage_base(plan: StagePlan, k: int) -> Optional[int]:
@@ -555,7 +542,7 @@ def second_substage_done(
         else:
             n_w = angle_base(plan.growth.angle(m + 1), w)
             tol_w = params.entropy_tolerance(eps)
-            dev_w = _prefix_deviation(digits_prefix(xi, w, n_w).digits, w, l_hi, 1.0, n_w)
+            dev_w = _point_deviation(xi, w, l_hi, 1.0, n_w, n_w)
             yield ConditionVerdict(
                 name="next-base-entropy", passed=dev_w <= tol_w, measured=dev_w,
                 threshold=tol_w, detail=f"base {w} prefix {n_w}",
@@ -632,7 +619,6 @@ class ConstructionTrace:
 def run_construction(
     plan: StagePlan,
     stages: int,
-    mode: Optional[SampledSearch] = None,
     params: Optional[ConstructionParams] = None,
 ) -> ConstructionTrace:
     """Run the staged construction for the given number of stages.
@@ -646,7 +632,6 @@ def run_construction(
     """
     if stages < 0:
         raise ValueError(f"stage count must be nonnegative, got {stages}")
-    mode = SampledSearch() if mode is None else mode
     params = ConstructionParams() if params is None else params
     # every base and alphabet the steps and the look-ahead draw from
     reached = set()
@@ -671,7 +656,7 @@ def run_construction(
         substage_start = 0  # stage-local digit count when the substage opened
         p1 = None
         first_check = second_check = None
-        for substage, criterion in ((1, 1), (2, 2)):
+        for substage in (1, 2):
             taken = 0
             while True:
                 m += 1
@@ -681,11 +666,9 @@ def run_construction(
                     # digits before this stage's first open position are the
                     # rounded carry-over of everything built so far
                     eta0 = eta_g_at(xi, v, sched.a(m))
-                    stage_digits.extend(digits_prefix(eta0.eta, v, sched.a(m)).digits)
+                    stage_digits.extend(digits_prefix(eta0, v, sched.a(m)).digits)
                     substage_start = len(stage_digits)
-                choice = select_step(
-                    xi, m, sched, criterion, mode, params.disc, plan, t_cap=params.t_cap
-                )
+                choice = select_step(xi, m, sched, substage, params, plan)
                 if choice.xi < xi:
                     raise AssertionError(f"step {m} moved the point backwards")
                 xi = choice.xi
@@ -696,7 +679,7 @@ def run_construction(
                     raise AssertionError(
                         f"step {m}: {len(stage_digits)} digits written, expected {sched.b(m)}"
                     )
-                steps.append(replace(choice, k=k, substage=substage))
+                steps.append(replace(choice, k=k))
                 taken += 1
                 fixed = len(stage_digits) - substage_start
                 if substage == 1:
@@ -813,7 +796,7 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
         lo = angle_base(plan.growth.angle(prev.p2 + 1), vp) + 1
         hi = angle_base(plan.growth.angle(sb.p2 + 1), vp)
         l_p = min(kp, L_CAP)
-        dev = _prefix_deviation(digits_prefix(trace.xi, vp, hi).digits, vp, l_p, 1.0, lo)
+        dev = _point_deviation(trace.xi, vp, l_p, 1.0, lo, hi)
         out.append(verdict("other-base-hold", f"stage-{kp} base {vp}, prefixes {lo}..{hi}",
                            dev, tol(2.0 ** -(kp + 1)), l_p))
     if not held:
@@ -825,7 +808,7 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
         out.append(verdict("next-base-restore", "next stage base is new or unplanned"))
     else:
         n_w = angle_base(plan.growth.angle(sb.p2 + 1), w)
-        dev = _prefix_deviation(digits_prefix(trace.xi, w, n_w).digits, w, l_hi, 1.0, n_w)
+        dev = _point_deviation(trace.xi, w, l_hi, 1.0, n_w, n_w)
         out.append(verdict("next-base-restore", f"base {w} prefix {n_w}", dev, tol(2.0**-k)))
 
     if not (repeated and len(trace.stages) > k and trace.stage(k + 1).p1 is not None):
@@ -834,8 +817,7 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
         q_next = float(plan.q_for(w))
         lo = trace.stage_start(k + 1)
         hi = trace.first_checkpoint(k + 1)
-        dev = _prefix_deviation(digits_prefix(trace.xi, w, hi).digits, w, l_hi, q_next, lo,
-                                shortfall=True)
+        dev = _point_deviation(trace.xi, w, l_hi, q_next, lo, hi, shortfall=True)
         out.append(verdict("next-stage-floor",
                            f"worst dip below {q_next:.6g}, base {w}, prefixes {lo}..{hi}",
                            dev, tol(2.0 ** -(k - 1))))
@@ -855,8 +837,9 @@ def write_trace_csv(trace: ConstructionTrace, path, comment: Optional[str] = Non
     writer.writerow(["m", "k", "substage", "criterion", "u", "a_m", "b_m", "block",
                      "objective", "objective_mean", "candidates", "filter_vacuous"])
     for s in trace.steps:
+        # criterion c draws the blocks of substage c, so one field fills both columns
         writer.writerow([
-            s.m, s.k, s.substage, s.criterion, s.u, s.a_m, s.b_m,
+            s.m, s.k, s.substage, s.substage, s.u, s.a_m, s.b_m,
             " ".join(map(str, s.digit_block.digits)),
             f"{s.objective:.12g}", f"{s.objective_mean:.12g}",
             s.candidates_examined, int(s.filter_vacuous),

@@ -17,7 +17,6 @@ from fsdim.blockstats import BlockCounter, block_entropy
 from fsdim.cli import _suite_am_oracle, _suite_discrepancy_oracle, _suite_sin_bound, _suite_viete
 from fsdim.constructor import (
     ConstructionParams,
-    SampledSearch,
     run_construction,
 )
 from fsdim.discrepancy import DEFAULT_N, DiscrepancyParams, calibrate, low_discrepancy_test
@@ -124,9 +123,11 @@ def test_criterion_09_construction_mechanics():
         tolerance=0.1,
         weyl_gamma=0.8,
         min_digits=20_000,
+        samples=64,
+        seed=0,
     )
     start = time.perf_counter()
-    trace = run_construction(plan, 1, SampledSearch(samples=64, seed=0), params)
+    trace = run_construction(plan, 1, params)
     elapsed = time.perf_counter() - start
 
     assert not trace.budget_exhausted

@@ -66,6 +66,13 @@ def test_digit_word_validation():
         DigitWord(2, (2,))
     with pytest.raises(ValueError):
         DigitWord(3, (-1,))
+    # the message names the first bad digit, wherever the extremes sit
+    with pytest.raises(ValueError, match="digit 5 out of range for base 4"):
+        DigitWord(4, (0, 3) * 500 + (5, 1, -2, 9))
+    with pytest.raises(ValueError, match="digit -2 out of range for base 4"):
+        DigitWord(4, (3, 0) * 500 + (-2, 9))
+    assert len(DigitWord(4, ())) == 0
+    assert len(DigitWord(4, (0, 1, 2, 3) * 500)) == 2000
     w = DigitWord.from_string("0211", 3)
     assert len(w) == 4 and w[1] == 2
     assert list(w[1:3]) == [2, 1]

@@ -14,7 +14,6 @@ from fsdim.base_arith import DigitWord, digits_prefix, value_of_word
 from fsdim.constructor import (
     ConstructionParams,
     ConstructionTrace,
-    SampledSearch,
     StageBounds,
     check_requirements,
     delta_k,
@@ -113,13 +112,10 @@ def test_delta_k_rejects_bad_arguments():
 
 
 def test_eta_g_frozen_examples():
-    assert eta_g_at(Fraction(0), 2, 1) == eta_g_at(0, 2, 1)
-    assert eta_g_at(0, 2, 1).g == 0
-    assert eta_g_at(0, 2, 1).eta == 0
-    step = eta_g_at(Fraction(1, 3), 2, 3)
-    assert (step.g, step.eta) == (3, Fraction(3, 8))
-    step = eta_g_at(Fraction(1, 2), 2, 3)  # exact grid point stays put
-    assert (step.g, step.eta) == (4, Fraction(1, 2))
+    assert eta_g_at(Fraction(0), 2, 1) == eta_g_at(0, 2, 1) == 0
+    assert isinstance(eta_g_at(0, 2, 1), Fraction)
+    assert eta_g_at(Fraction(1, 3), 2, 3) == Fraction(3, 8)
+    assert eta_g_at(Fraction(1, 2), 2, 3) == Fraction(1, 2)  # exact grid point stays put
 
 
 def test_eta_g_is_minimal_grid_point_above():
@@ -128,11 +124,12 @@ def test_eta_g_is_minimal_grid_point_above():
         base = rng.randint(2, 7)
         a_pos = rng.randint(1, 12)
         lam = Fraction(rng.randint(0, 10**6), 10**6 + rng.randint(1, 100))
-        step = eta_g_at(lam, base, a_pos)
-        assert step.eta == Fraction(step.g, base**a_pos)
-        assert step.eta >= lam
-        if step.g:
-            assert Fraction(step.g - 1, base**a_pos) < lam
+        eta = eta_g_at(lam, base, a_pos)
+        g = eta * base**a_pos  # the grid index: eta = g * base**-a_pos
+        assert g.denominator == 1
+        assert eta >= lam
+        if g:
+            assert Fraction(g - 1, base**a_pos) < lam
 
 
 def test_eta_g_rejects_bad_arguments():
@@ -151,7 +148,7 @@ def test_sigma_element_frozen_example():
 
 def test_sigma_element_zero_block_is_eta():
     lam = Fraction(5, 17)
-    assert sigma_element_at(lam, 3, 2, 8, DigitWord(3, (0,) * 4)) == eta_g_at(lam, 3, 2).eta
+    assert sigma_element_at(lam, 3, 2, 8, DigitWord(3, (0,) * 4)) == eta_g_at(lam, 3, 2)
 
 
 def test_sigma_element_stays_within_grid_cell():
@@ -166,7 +163,7 @@ def test_sigma_element_stays_within_grid_cell():
         alphabet = rng.randint(2, base)
         block = DigitWord(alphabet, tuple(rng.randrange(alphabet) for _ in range(width)))
         value = sigma_element_at(lam, base, a_pos, b_pos, block)
-        eta = eta_g_at(lam, base, a_pos).eta
+        eta = eta_g_at(lam, base, a_pos)
         assert eta <= value < eta + Fraction(1, base**a_pos)
         got = digits_prefix(value - eta, base, b_pos).digits
         assert got[a_pos:b_pos - 2] == block.digits
@@ -226,9 +223,9 @@ def _brute_force_choice(lam, m, sched, alphabet, t_cap=None):
 
 def test_select_step_matches_brute_force_argmin(monkeypatch):
     sched = _tiny_two_base_schedule()
-    disc = DiscrepancyParams.default()
     lam = Fraction(1, 5)
-    choice, drawn = _select_drawing(monkeypatch, lam, 2, sched, 2, SampledSearch(200, 0), disc)
+    choice, drawn = _select_drawing(
+        monkeypatch, lam, 2, sched, 2, ConstructionParams(samples=200, seed=0))
     obj, word, xi = _brute_force_choice(lam, 2, sched, 3)
     assert len(drawn) == 3 ** len(word)  # every block drawn: the argmin is global
     assert choice.digit_block == word
@@ -237,12 +234,12 @@ def test_select_step_matches_brute_force_argmin(monkeypatch):
     assert choice.candidates_examined == 200
     assert choice.filter_vacuous  # far below the filter threshold
     assert choice.objective <= choice.objective_mean + 1e-12
+    assert choice.substage == 2
 
 
 def test_select_step_chosen_never_worse_than_mean():
     sched = _tiny_two_base_schedule()
-    disc = DiscrepancyParams.default()
-    choice = select_step(Fraction(3, 11), 2, sched, 2, SampledSearch(32, 5), disc)
+    choice = select_step(Fraction(3, 11), 2, sched, 2, ConstructionParams(samples=32, seed=5))
     assert choice.objective <= choice.objective_mean + 1e-12
 
 
@@ -251,11 +248,11 @@ def test_select_step_objective_scale_invariance(monkeypatch):
     from fsdim.expsum import a_m
 
     sched = _tiny_two_base_schedule()
-    disc = DiscrepancyParams.default()
     lam = Fraction(1, 5)
-    plain = select_step(lam, 2, sched, 2, SampledSearch(200, 0), disc)
+    params = ConstructionParams(samples=200, seed=0)
+    plain = select_step(lam, 2, sched, 2, params)
     monkeypatch.setattr(fsdim.constructor, "a_m", lambda *args: 3.7 * a_m(*args))
-    scaled = select_step(lam, 2, sched, 2, SampledSearch(200, 0), disc)
+    scaled = select_step(lam, 2, sched, 2, params)
     assert scaled.objective == pytest.approx(3.7 * plain.objective)
     assert scaled.digit_block == plain.digit_block
     assert scaled.xi == plain.xi
@@ -263,47 +260,74 @@ def test_select_step_objective_scale_invariance(monkeypatch):
 
 def test_select_step_sampled_is_deterministic():
     sched = _tiny_two_base_schedule()
-    disc = DiscrepancyParams.default()
-    one = select_step(Fraction(1, 5), 2, sched, 2, SampledSearch(16, 42), disc)
-    two = select_step(Fraction(1, 5), 2, sched, 2, SampledSearch(16, 42), disc)
+    one = select_step(Fraction(1, 5), 2, sched, 2, ConstructionParams(samples=16, seed=42))
+    two = select_step(Fraction(1, 5), 2, sched, 2, ConstructionParams(samples=16, seed=42))
     assert one == two
-    other = select_step(Fraction(1, 5), 2, sched, 2, SampledSearch(16, 43), disc)
+    other = select_step(Fraction(1, 5), 2, sched, 2, ConstructionParams(samples=16, seed=43))
     assert other.candidates_examined == 16  # same budget, possibly same pick
 
 
 def test_select_step_single_class_takes_lexicographic_minimum(monkeypatch):
     sched = Schedule((4, 4), TableGrowth((3, 8, 13)))
-    disc = DiscrepancyParams.default()
     choice, drawn = _select_drawing(
-        monkeypatch, Fraction(1, 9), 2, sched, 2, SampledSearch(100, 0), disc)
+        monkeypatch, Fraction(1, 9), 2, sched, 2, ConstructionParams(samples=100, seed=0))
     assert len(drawn) == 4 ** len(choice.digit_block)  # the all-zero block was drawn
     assert choice.objective == 0.0
     assert choice.objective_mean == 0.0
     assert choice.digit_block.digits == (0,) * len(choice.digit_block)
 
 
+def test_select_step_trivial_step_computes_one_point(monkeypatch):
+    # a single-class step scores every draw 0.0: no objective call, and the
+    # candidate point is formed once, for the chosen block only
+    import fsdim.constructor as constructor
+
+    calls = {"a_m": 0, "sigma_element_at": 0}
+
+    def counting(name):
+        original = getattr(constructor, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(constructor, name, counted)
+
+    counting("a_m")
+    counting("sigma_element_at")
+    sched = Schedule((4, 4), TableGrowth((3, 8, 13)))
+    choice = select_step(Fraction(1, 9), 2, sched, 2, ConstructionParams(samples=16, seed=0))
+    assert calls == {"a_m": 0, "sigma_element_at": 1}
+    assert choice.xi == sigma_element_at(
+        Fraction(1, 9), 4, sched.a(2), sched.b(2), choice.digit_block)
+
+    # a scored step forms one point and one objective per draw
+    calls.update(a_m=0, sigma_element_at=0)
+    select_step(Fraction(1, 5), 2, _tiny_two_base_schedule(), 2,
+                ConstructionParams(samples=16, seed=0))
+    assert calls == {"a_m": 16, "sigma_element_at": 16}
+
+
 def test_select_step_criterion_one_uses_restricted_alphabet(monkeypatch):
     plan = StagePlan({2: Fraction(1, 2)}, growth=TableGrowth((3, 8, 13)))
     sched = Schedule((4, 4), plan.growth)
-    disc = DiscrepancyParams.default()
     choice, drawn = _select_drawing(
-        monkeypatch, Fraction(1, 9), 2, sched, 1, SampledSearch(32, 0), disc, plan)
+        monkeypatch, Fraction(1, 9), 2, sched, 1, ConstructionParams(samples=32, seed=0), plan)
     assert choice.digit_block.base == 2
     assert all(d < 2 for d in choice.digit_block.digits)
     assert len(drawn) == 2 ** len(choice.digit_block)  # every restricted block
+    assert choice.substage == 1
 
 
 def test_select_step_rejects_bad_arguments():
     sched = _tiny_two_base_schedule()
-    disc = DiscrepancyParams.default()
     with pytest.raises(ValueError):
-        select_step(0, 2, sched, 3, SampledSearch(), disc)
+        select_step(0, 2, sched, 3, ConstructionParams())
     with pytest.raises(ValueError):
-        select_step(0, 2, sched, 1, SampledSearch(), disc)  # no plan
+        select_step(0, 2, sched, 1, ConstructionParams())  # no plan
     plan = StagePlan({2: Fraction(1, 2)})
     with pytest.raises(ValueError):  # p(2) = 1 is not a usable alphabet
-        select_step(0, 1, Schedule((2,), TableGrowth((2, 7))), 1,
-                    SampledSearch(), disc, plan)
+        select_step(0, 1, Schedule((2,), TableGrowth((2, 7))), 1, ConstructionParams(), plan)
 
 
 def test_select_step_no_candidate_error():
@@ -311,15 +335,15 @@ def test_select_step_no_candidate_error():
     sched = Schedule((2,), TableGrowth((2, 60)))
     disc = DiscrepancyParams(c={2: 1e-9})
     with pytest.raises(FilterGiveUp):
-        select_step(0, 1, sched, 2, SampledSearch(4, 0), disc)
+        select_step(0, 1, sched, 2, ConstructionParams(samples=4, seed=0, disc=disc))
 
 
 def test_select_step_filter_applies_beyond_threshold():
     sched = Schedule((2,), TableGrowth((2, 60)))  # width 56 > DEFAULT_N = 50
-    disc = DiscrepancyParams.default()
-    choice = select_step(0, 1, sched, 2, SampledSearch(8, 3), disc)
+    params = ConstructionParams(samples=8, seed=3)
+    choice = select_step(0, 1, sched, 2, params)
     assert not choice.filter_vacuous
-    assert low_discrepancy_test(choice.digit_block, disc)
+    assert low_discrepancy_test(choice.digit_block, params.disc)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +466,7 @@ def _fast_params(**overrides):
 
 def test_run_construction_single_stage_mechanics():
     plan = StagePlan({2: Fraction(1, 2)}, growth=ScaledGrowth(8, 4))
-    trace = run_construction(plan, 1, SampledSearch(8, 0), _fast_params())
+    trace = run_construction(plan, 1, _fast_params(samples=8, seed=0))
     assert not trace.budget_exhausted
     sb = trace.stage(1)
     assert (sb.v, sb.v_star) == (4, 2)
@@ -471,7 +495,7 @@ def test_run_construction_single_stage_mechanics():
 
 def test_run_construction_requirements_pass():
     plan = StagePlan({2: Fraction(1, 2)}, growth=ScaledGrowth(8, 4))
-    trace = run_construction(plan, 1, SampledSearch(8, 0), _fast_params())
+    trace = run_construction(plan, 1, _fast_params(samples=8, seed=0))
     verdicts = check_requirements(trace, 1)
     by_name = {}
     for v in verdicts:
@@ -486,17 +510,17 @@ def test_run_construction_requirements_pass():
 
 def test_run_construction_is_reproducible():
     plan = StagePlan({2: Fraction(1, 2)}, growth=ScaledGrowth(8, 4))
-    one = run_construction(plan, 1, SampledSearch(8, 0), _fast_params())
-    two = run_construction(plan, 1, SampledSearch(8, 0), _fast_params())
+    one = run_construction(plan, 1, _fast_params(samples=8, seed=0))
+    two = run_construction(plan, 1, _fast_params(samples=8, seed=0))
     assert one.xi == two.xi
     assert one.steps == two.steps
-    other = run_construction(plan, 1, SampledSearch(8, 1), _fast_params())
+    other = run_construction(plan, 1, _fast_params(samples=8, seed=1))
     assert other.xi != one.xi
 
 
 def test_run_construction_budget_exhaustion_marks_trace():
     plan = StagePlan({2: Fraction(1, 2)}, growth=ScaledGrowth(8, 4))
-    trace = run_construction(plan, 1, SampledSearch(4, 0), _fast_params(step_budget=3))
+    trace = run_construction(plan, 1, _fast_params(samples=4, step_budget=3))
     assert trace.budget_exhausted
     sb = trace.stage(1)
     assert sb.p1 == 3  # stopped mid-first-substage
@@ -513,8 +537,8 @@ def three_stage_trace():
     # base pattern 4, 3, 4: stage 2 sees an inequivalent earlier base and
     # a repeated upcoming one, so every look-ahead and hold monitor fires
     plan = StagePlan({2: Fraction(1, 2), 3: Fraction(1)}, growth=ScaledGrowth(8, 4))
-    params = _fast_params(transition_margin=0.05, t_cap=3)
-    return run_construction(plan, 3, SampledSearch(8, 1), params)
+    params = _fast_params(transition_margin=0.05, t_cap=3, samples=8, seed=1)
+    return run_construction(plan, 3, params)
 
 
 def test_multi_stage_run_completes(three_stage_trace):
@@ -592,6 +616,8 @@ def test_construction_params_validation():
         ConstructionParams(step_budget=0)
     with pytest.raises(ValueError):
         ConstructionParams(t_cap=0)
+    with pytest.raises(ValueError, match="samples must be positive"):
+        ConstructionParams(samples=0)
     assert ConstructionParams(tolerance=None).entropy_tolerance(0.25) == 0.25
     assert ConstructionParams(tolerance=0.2).entropy_tolerance(0.25) == 0.2
 
@@ -654,7 +680,7 @@ def test_check_requirements_never_aborts_on_vacuous_cases():
 
 def test_trace_csv_round_trip(tmp_path):
     plan = StagePlan({2: Fraction(1, 2)}, growth=ScaledGrowth(8, 4))
-    trace = run_construction(plan, 1, SampledSearch(4, 0), _fast_params())
+    trace = run_construction(plan, 1, _fast_params(samples=4, seed=0))
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path, comment="test run")
     lines = path.read_text().splitlines()
@@ -670,7 +696,7 @@ def test_trace_csv_round_trip(tmp_path):
 
 def test_monitor_summary_round_trip():
     plan = StagePlan({2: Fraction(1, 2)}, growth=ScaledGrowth(8, 4))
-    trace = run_construction(plan, 1, SampledSearch(4, 0), _fast_params())
+    trace = run_construction(plan, 1, _fast_params(samples=4, seed=0))
     data = json.loads(json.dumps(monitor_summary(trace, {1: check_requirements(trace, 1)})))
     assert data["stages"][0]["base"] == 4
     assert data["stages"][0]["second_check"]["done"] is True
@@ -751,8 +777,8 @@ GOLDEN_VALUES = {
 def test_seeded_runs_match_golden_values(name):
     text, stages, samples, min_digits, margin = GOLDEN_RUNS[name]
     params = ConstructionParams(tolerance=0.1, weyl_gamma=0.8, min_digits=min_digits,
-                                transition_margin=margin)
-    trace = run_construction(parse_plan(text), stages, SampledSearch(samples, 0), params)
+                                transition_margin=margin, samples=samples, seed=0)
+    trace = run_construction(parse_plan(text), stages, params)
     xi_hex, steps_hex, n_steps, requirements = GOLDEN_VALUES[name]
     assert _xi_digest(trace).hexdigest() == xi_hex
     assert len(trace.steps) == n_steps

@@ -1,5 +1,6 @@
 """The export surface: every exported name resolves, so star imports work,
-and no module imports a name it never uses."""
+no module imports a name it never uses, and every private module-level
+name is read somewhere in the package."""
 
 import ast
 import importlib
@@ -63,3 +64,29 @@ def test_modules_use_every_import():
     found = {(path.stem, name) for path in sorted(src.glob("*.py"))
              if path.name != "__init__.py" for name in _unused_imports(path)}
     assert found == UNUSED_IMPORTS_ALLOWED
+
+
+def _private_top_level_names(tree: ast.Module) -> set:
+    # names a module binds at top level that start with one underscore
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name for a in node.names}
+    return {n for n in bound if n.startswith("_") and not n.startswith("__")}
+
+
+def test_private_names_are_read():
+    # a private name nothing in src/fsdim reads is dead code; tests and
+    # perfbench reaching for it do not keep it alive
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(fsdim.__file__).parent.glob("*.py"))}
+    read = {n.id for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unread = sorted((stem, name) for stem, tree in trees.items()
+                    for name in _private_top_level_names(tree) if name not in read)
+    assert not unread, f"private names no src/fsdim module reads: {unread}"
