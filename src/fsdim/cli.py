@@ -131,12 +131,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
         samples=args.samples,
         seed=args.seed,
     )
+    # made before the run, so an unusable --out fails before minutes of work
+    os.makedirs(args.out, exist_ok=True)
     try:
         trace = run_construction(plan, args.stages, params)
     except FilterGiveUp as exc:
         return _fail(f"candidate search failed: {exc}", 2)
 
-    os.makedirs(args.out, exist_ok=True)
     config = (
         f"fsdim construct plan={args.plan} stages={args.stages} mode={args.mode}"
         f" samples={args.samples} seed={args.seed} tolerance={args.tolerance}"
@@ -372,8 +373,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # arguments the parser accepts but a library routine rejects
+    except (ValueError, OSError) as exc:
+        # arguments the parser accepts but a library routine or the OS rejects
         return _fail(str(exc), 2)
 
 

@@ -18,7 +18,9 @@ block entropies sit near the target rate q, then a second substage
 draws from the full alphabet until they return to 1 and the point
 passes a Weyl-average spot check.  Substage close-out predicates and
 after-the-fact requirement monitors both live here; the monitors are
-evaluated on the final point, whose digit prefixes are exact.
+evaluated on the final point, whose digit prefixes are exact.  A trace
+keeps that point and each step's block, once: the point after step m
+is the final point truncated after b_m - 2 base-u(m) digits.
 
 Thresholds: the asymptotic analysis uses 2^-k style tolerances and
 nonconstructive transition constants.  Desk runs replace the former
@@ -167,7 +169,10 @@ def sigma_element_at(
 
 @dataclass(frozen=True)
 class StepChoice:
-    """Outcome of one selection step; substage 1 drew restricted blocks."""
+    """Outcome of one selection step; substage 1 drew restricted blocks.
+
+    The point after the step is the final xi truncated after b_m - 2 base-u digits.
+    """
 
     m: int
     substage: int
@@ -175,12 +180,15 @@ class StepChoice:
     a_m: int
     b_m: int
     digit_block: DigitWord
-    xi: Fraction
     objective: float
     objective_mean: float
     candidates_examined: int
-    filter_vacuous: bool
     k: int = 0
+
+    @property
+    def filter_vacuous(self) -> bool:
+        """True when the block is too short for the filter to apply."""
+        return len(self.digit_block) <= DEFAULT_N
 
 
 def select_step(
@@ -200,7 +208,8 @@ def select_step(
     candidates no longer than the filter threshold DEFAULT_N pass
     vacuously; a slot none of whose draws passes raises FilterGiveUp.
     Ties in the objective go to the lexicographically smallest block,
-    so reruns are reproducible.
+    so reruns are reproducible.  The point after the step is
+    sigma_element_at(lam, u(m), a_m, b_m, choice.digit_block).
     """
     if criterion not in (1, 2):
         raise ValueError(f"criterion must be 1 or 2, got {criterion}")
@@ -219,40 +228,26 @@ def select_step(
         raise ValueError(f"alphabet {alphabet} unusable in base {u}")
 
     # the objective is identically zero while every scheduled base is
-    # equivalent, so those draws score 0.0 and only the chosen block's
-    # point is ever computed
+    # equivalent, so those draws score 0.0 without forming a point
     trivial = all(equivalent(sched.base(h), u) for h in range(1, m + 1))
 
-    best = None  # ((objective, digits), word, point or None)
+    best = None  # ((objective, digits), word)
     total_obj = 0.0
     for i in range(params.samples):
         # one independent stream per candidate slot: reruns are identical
         # no matter how many rejection attempts each slot needs
         word = sample_good_string(alphabet, width, f"{params.seed}:{m}:{i}", params.disc)
-        if trivial:
-            xi_c, obj = None, 0.0
-        else:
-            xi_c = sigma_element_at(lam, u, a_pos, b_pos, word)
-            obj = a_m(xi_c, m, sched, params.t_cap)
+        obj = 0.0 if trivial else a_m(
+            sigma_element_at(lam, u, a_pos, b_pos, word), m, sched, params.t_cap)
         total_obj += obj
         key = (obj, word.digits)
         if best is None or key < best[0]:
-            best = (key, word, xi_c)
-    (best_obj, _), best_word, best_xi = best
-    if best_xi is None:
-        best_xi = sigma_element_at(lam, u, a_pos, b_pos, best_word)
+            best = (key, word)
+    (best_obj, _), best_word = best
     return StepChoice(
-        m=m,
-        substage=criterion,
-        u=u,
-        a_m=a_pos,
-        b_m=b_pos,
-        digit_block=best_word,
-        xi=best_xi,
-        objective=best_obj,
-        objective_mean=total_obj / params.samples,
+        m=m, substage=criterion, u=u, a_m=a_pos, b_m=b_pos, digit_block=best_word,
+        objective=best_obj, objective_mean=total_obj / params.samples,
         candidates_examined=params.samples,
-        filter_vacuous=width <= DEFAULT_N,
     )
 
 
@@ -646,6 +641,7 @@ def run_construction(
     xi = Fraction(0)
     u: list[int] = []
     steps: list[StepChoice] = []
+    points: list[Fraction] = []  # the point after each step, for the audit only
     bounds: list[StageBounds] = []
     m = 0
     exhausted = False
@@ -669,9 +665,11 @@ def run_construction(
                     stage_digits.extend(digits_prefix(eta0, v, sched.a(m)).digits)
                     substage_start = len(stage_digits)
                 choice = select_step(xi, m, sched, substage, params, plan)
-                if choice.xi < xi:
+                point = sigma_element_at(xi, v, sched.a(m), sched.b(m), choice.digit_block)
+                if point < xi:
                     raise AssertionError(f"step {m} moved the point backwards")
-                xi = choice.xi
+                xi = point
+                points.append(point)
                 stage_digits.extend(choice.digit_block.digits)
                 stage_digits.append(0)
                 stage_digits.append(0)
@@ -711,7 +709,8 @@ def run_construction(
         )
         if exhausted:
             break
-    trace = ConstructionTrace(
+    _audit_stability(xi, steps, points)
+    return ConstructionTrace(
         plan=plan,
         params=params,
         xi=xi,
@@ -719,17 +718,14 @@ def run_construction(
         stages=tuple(bounds),
         budget_exhausted=exhausted,
     )
-    _audit_stability(trace)
-    return trace
 
 
-def _audit_stability(trace: ConstructionTrace) -> None:
+def _audit_stability(xi: Fraction, steps: list[StepChoice], points: list[Fraction]) -> None:
     # every step's point is a lower approximation of the final one, and
     # the guard zeros keep the gap under one unit of the step's last
     # written position (so no digit a step fixed ever moved)
-    for step in trace.steps:
-        gap = trace.xi - step.xi
-        if gap < 0 or gap >= Fraction(1, step.u ** (step.b_m - 2)):
+    for step, point in zip(steps, points):
+        if not 0 <= xi - point < Fraction(1, step.u ** (step.b_m - 2)):
             raise AssertionError(f"digits written at step {step.m} were not stable")
 
 

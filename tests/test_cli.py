@@ -113,6 +113,13 @@ def test_analyze_rejects_checkpoint_past_end(zeros_file, capsys):
     capsys.readouterr()
 
 
+def test_analyze_out_naming_a_file_exits_two(zeros_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["analyze", zeros_file, "--lmax", "1", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # construct
 
@@ -189,6 +196,22 @@ def test_construct_budget_exhaustion_warns_but_succeeds(plan_file, tmp_path, cap
     summary = json.loads((out / "monitors.json").read_text())
     assert summary["budget_exhausted"] is True
     assert not (out / "digits_stage1_base4.txt").exists()
+
+
+def test_construct_out_naming_a_file_exits_two_before_the_run(
+        plan_file, tmp_path, capsys, monkeypatch):
+    import fsdim.cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("run_construction reached with an unusable --out")
+
+    monkeypatch.setattr(fsdim.cli, "run_construction", unreachable)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["construct", "--plan", plan_file, "--stages", "1",
+                 "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == ""
 
 
 def test_construct_usage_error_exits_two(capsys):
@@ -292,6 +315,13 @@ def test_calibrate_writes_config(tmp_path, capsys):
     params = DiscrepancyParams.read_config(out)
     printed = float(text.split("C_2 = ")[1].split()[0])
     assert params.c_for(2) == pytest.approx(printed, abs=1e-6)
+
+
+def test_calibrate_out_naming_a_directory_exits_two(tmp_path, capsys):
+    assert main(["calibrate", "--base", "2", "--samples", "30",
+                 "--length", "600", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []  # no temporary file left behind
 
 
 def test_calibrate_rejects_bad_base(capsys):

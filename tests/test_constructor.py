@@ -1,6 +1,7 @@
 """Tests for the staged construction: selection, predicates, runs, monitors."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,7 +30,8 @@ from fsdim.constructor import (
 )
 from fsdim.discrepancy import DiscrepancyParams, FilterGiveUp, low_discrepancy_test
 from fsdim.expsum import a_m_naive, weyl_average
-from fsdim.schedule import ScaledGrowth, Schedule, StagePlan, TableGrowth, parse_plan
+from fsdim.schedule import ScaledGrowth, Schedule, StagePlan, TableGrowth, equivalent, parse_plan
+from trace_replay import replay_trace
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +219,7 @@ def _brute_force_choice(lam, m, sched, alphabet, t_cap=None):
         xi = sigma_element_at(lam, sched.base(m), a_pos, b_pos, word)
         obj = a_m_naive(xi, m, sched, t_cap)
         if best is None or obj < best[0] - 1e-15:
-            best = (obj, word, xi)
+            best = (obj, word)
     return best
 
 
@@ -226,10 +228,9 @@ def test_select_step_matches_brute_force_argmin(monkeypatch):
     lam = Fraction(1, 5)
     choice, drawn = _select_drawing(
         monkeypatch, lam, 2, sched, 2, ConstructionParams(samples=200, seed=0))
-    obj, word, xi = _brute_force_choice(lam, 2, sched, 3)
+    obj, word = _brute_force_choice(lam, 2, sched, 3)
     assert len(drawn) == 3 ** len(word)  # every block drawn: the argmin is global
     assert choice.digit_block == word
-    assert choice.xi == xi
     assert choice.objective == pytest.approx(obj, abs=1e-9)
     assert choice.candidates_examined == 200
     assert choice.filter_vacuous  # far below the filter threshold
@@ -255,7 +256,6 @@ def test_select_step_objective_scale_invariance(monkeypatch):
     scaled = select_step(lam, 2, sched, 2, params)
     assert scaled.objective == pytest.approx(3.7 * plain.objective)
     assert scaled.digit_block == plain.digit_block
-    assert scaled.xi == plain.xi
 
 
 def test_select_step_sampled_is_deterministic():
@@ -277,12 +277,11 @@ def test_select_step_single_class_takes_lexicographic_minimum(monkeypatch):
     assert choice.digit_block.digits == (0,) * len(choice.digit_block)
 
 
-def test_select_step_trivial_step_computes_one_point(monkeypatch):
-    # a single-class step scores every draw 0.0: no objective call, and the
-    # candidate point is formed once, for the chosen block only
+def _count_calls(monkeypatch, *names):
+    """Count the calls constructor makes through each of these names."""
     import fsdim.constructor as constructor
 
-    calls = {"a_m": 0, "sigma_element_at": 0}
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
         original = getattr(constructor, name)
@@ -293,13 +292,18 @@ def test_select_step_trivial_step_computes_one_point(monkeypatch):
 
         monkeypatch.setattr(constructor, name, counted)
 
-    counting("a_m")
-    counting("sigma_element_at")
+    for name in names:
+        counting(name)
+    return calls
+
+
+def test_select_step_trivial_step_computes_one_point(monkeypatch):
+    # a single-class step scores every draw 0.0: no objective call and no
+    # candidate point
+    calls = _count_calls(monkeypatch, "a_m", "sigma_element_at")
     sched = Schedule((4, 4), TableGrowth((3, 8, 13)))
-    choice = select_step(Fraction(1, 9), 2, sched, 2, ConstructionParams(samples=16, seed=0))
-    assert calls == {"a_m": 0, "sigma_element_at": 1}
-    assert choice.xi == sigma_element_at(
-        Fraction(1, 9), 4, sched.a(2), sched.b(2), choice.digit_block)
+    select_step(Fraction(1, 9), 2, sched, 2, ConstructionParams(samples=16, seed=0))
+    assert calls == {"a_m": 0, "sigma_element_at": 0}
 
     # a scored step forms one point and one objective per draw
     calls.update(a_m=0, sigma_element_at=0)
@@ -482,8 +486,7 @@ def test_run_construction_single_stage_mechanics():
         assert step.objective == 0.0  # single class: objective short-circuits
 
     # the point only ever grows, and every step's digits survive in it
-    xis = [step.xi for step in trace.steps]
-    assert all(a <= b for a, b in zip(xis, xis[1:]))
+    replay_trace(trace)
     final = digits_prefix(trace.xi, 4, f2).digits
     for step in trace.steps:
         assert final[step.a_m:step.b_m - 2] == step.digit_block.digits
@@ -550,8 +553,19 @@ def test_multi_stage_run_completes(three_stage_trace):
         assert sb.p2 is not None and sb.p1 <= sb.p2
     starts = [trace.stage_start(k) for k in (1, 2, 3)]
     assert starts[0] == 1
-    xis = [step.xi for step in trace.steps]
-    assert all(a <= b for a, b in zip(xis, xis[1:]))
+    replay_trace(trace)
+
+
+def test_run_forms_one_point_per_step_plus_one_per_scored_draw(monkeypatch):
+    # stage 2 (base 3) is scored against base 4; stage 1 steps are trivial
+    calls = _count_calls(monkeypatch, "a_m", "sigma_element_at")
+    plan = StagePlan({2: Fraction(1, 2), 3: Fraction(1)}, growth=ScaledGrowth(8, 4))
+    params = _fast_params(transition_margin=0.05, t_cap=3, samples=4, seed=1)
+    steps = run_construction(plan, 2, params).steps
+    scored = sum(s.candidates_examined for i, s in enumerate(steps)
+                 if not all(equivalent(p.u, s.u) for p in steps[:i + 1]))
+    assert scored > 0
+    assert calls == {"a_m": scored, "sigma_element_at": len(steps) + scored}
 
 
 def test_multi_stage_alphabets_follow_plan(three_stage_trace):
@@ -773,12 +787,17 @@ GOLDEN_VALUES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_seeded_runs_match_golden_values(name):
+def _golden_trace(name):
     text, stages, samples, min_digits, margin = GOLDEN_RUNS[name]
     params = ConstructionParams(tolerance=0.1, weyl_gamma=0.8, min_digits=min_digits,
                                 transition_margin=margin, samples=samples, seed=0)
-    trace = run_construction(parse_plan(text), stages, params)
+    return run_construction(parse_plan(text), stages, params)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_seeded_runs_match_golden_values(name):
+    stages = GOLDEN_RUNS[name][1]
+    trace = _golden_trace(name)
     xi_hex, steps_hex, n_steps, requirements = GOLDEN_VALUES[name]
     assert _xi_digest(trace).hexdigest() == xi_hex
     assert len(trace.steps) == n_steps
@@ -786,6 +805,16 @@ def test_seeded_runs_match_golden_values(name):
     got = [(k, v.name, v.deviation.hex())
            for k in range(1, stages + 1) for v in check_requirements(trace, k)]
     assert got == requirements
+
+
+def test_step_choices_hold_no_points():
+    # a trace stores each digit once: a step keeps its block, never its point
+    trace = _golden_trace("2class")
+    assert trace.steps
+    for step in trace.steps:
+        for f in dataclasses.fields(step):
+            value = getattr(step, f.name)
+            assert isinstance(value, (int, float, bool, DigitWord)), (step.m, f.name, value)
 
 
 def test_run_construction_rejects_unfiltered_bases_before_any_step(monkeypatch):
