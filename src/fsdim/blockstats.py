@@ -5,7 +5,8 @@ position 1..n-l+1 of a length-n word. Counts are exact integers; only
 the final log-sum is evaluated in floating point, with natural logs
 normalized by l*ln(base) so values land in [0, 1].  Entropies are read
 in batch, at one prefix or at many in one pass (:func:`prefix_entropies`);
-the streaming :class:`BlockCounter` serves the low-discrepancy filter.
+the streaming :class:`BlockCounter` serves the low-discrepancy filter, which
+reads the per-length extremal counts that every push keeps current.
 """
 
 from __future__ import annotations
@@ -87,10 +88,14 @@ class BlockCounter:
     """The low-discrepancy filter's one-pass sliding counter.
 
     The filter is the one reader that stops at the first failing prefix,
-    so it pushes digits one at a time with :meth:`push`/:meth:`extend` and
-    reads the extremal counts of every block length up to l_max after
-    each push.  Entropies of prefixes are read in batch by
-    :func:`prefix_entropies`.
+    so it pushes digits one at a time with :meth:`push`/:meth:`extend`.
+    Each push keeps the extremal counts of every block length l up to
+    l_max current in two lists that the filter reads directly:
+    ``max_counts[l]`` and ``min_counts[l]``, the minimum over all base^l
+    blocks (0 while any block is unseen).  A count-of-counts per length,
+    seeded with the base^l unseen blocks at count 0, moves the minimum
+    from c to c+1 when its last block at c leaves.  Entropies of prefixes
+    are read in batch by :func:`prefix_entropies`.
     """
 
     def __init__(self, base: int, l_max: int):
@@ -100,63 +105,45 @@ class BlockCounter:
         self.n = 0
         self._counts: list[dict[int, int]] = [dict() for _ in range(l_max + 1)]
         self._keys = [0] * (l_max + 1)  # packed key of the last l digits
-        self._max_count = [0] * (l_max + 1)
-        self._count_of_counts: list[dict[int, int]] = [dict() for _ in range(l_max + 1)]
-        self._min_ptr = [1] * (l_max + 1)
+        self._count_of_counts = [{0: base**l} for l in range(l_max + 1)]
+        self.max_counts = [0] * (l_max + 1)
+        self.min_counts = [0] * (l_max + 1)
 
     def push(self, d: int) -> None:
         if not 0 <= d < self.base:
             raise ValueError(f"digit {d} out of range for base {self.base}")
         base = self.base
         self.n += 1
-        keys = self._keys
+        keys, max_counts, min_counts = self._keys, self.max_counts, self.min_counts
         # Descending l: keys[l-1] still holds the previous push's value when
         # keys[l] is formed, so the update needs no scratch copy.
         for l in range(min(self.l_max, self.n), 0, -1):
             k = keys[l - 1] * base + d
             keys[l] = k
             counts = self._counts[l]
-            c = counts.get(k, 0)
-            counts[k] = c + 1
-            if c + 1 > self._max_count[l]:
-                self._max_count[l] = c + 1
+            c = counts.get(k, 0) + 1
+            counts[k] = c
+            if c > max_counts[l]:
+                max_counts[l] = c
             cc = self._count_of_counts[l]
-            if c:
-                left = cc[c] - 1
-                if left:
-                    cc[c] = left
-                else:
-                    del cc[c]
-            cc[c + 1] = cc.get(c + 1, 0) + 1
+            cc[c] = cc.get(c, 0) + 1
+            left = cc[c - 1] - 1
+            if left:
+                cc[c - 1] = left
+            else:
+                del cc[c - 1]
+                if min_counts[l] == c - 1:
+                    min_counts[l] = c
 
     def extend(self, digits: Iterable[int]) -> None:
         for d in digits:
             self.push(d)
 
-    def max_count(self, l: int) -> int:
-        self._check_len(l)
-        return self._max_count[l]
-
-    def min_count(self, l: int) -> int:
-        """Minimum count over all base^l blocks (0 if any block is unseen)."""
-        self._check_len(l)
-        if len(self._counts[l]) < self.base**l:
-            return 0
-        cc = self._count_of_counts[l]
-        ptr = self._min_ptr[l]
-        while not cc.get(ptr):
-            ptr += 1
-        self._min_ptr[l] = ptr
-        return ptr
-
     def distribution(self, l: int) -> BlockDistribution:
-        self._check_len(l)
-        counts = {_unpack_key(k, self.base, l): c for k, c in self._counts[l].items()}
-        return BlockDistribution(self.base, l, counts, max(0, self.n - l + 1))
-
-    def _check_len(self, l: int) -> None:
         if not 1 <= l <= self.l_max:
             raise ValueError(f"block length {l} outside tracked range 1..{self.l_max}")
+        counts = {_unpack_key(k, self.base, l): c for k, c in self._counts[l].items()}
+        return BlockDistribution(self.base, l, counts, max(0, self.n - l + 1))
 
 
 def _unpack_key(packed: int, base: int, l: int) -> tuple[int, ...]:

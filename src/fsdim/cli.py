@@ -282,6 +282,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.base < 2:
         return _fail(f"need a base >= 2, got {args.base}", 2)
+    # checked before the run, so an unusable --out does not lose the calibration
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
+        return _fail(f"--out {args.out} must name a file in an existing directory", 2)
     c = calibrate(args.base, length=args.length, samples=args.samples,
                   target=args.target, seed=args.seed)
     print(f"C_{args.base} = {c:.6f} (target pass rate {args.target},"

@@ -74,6 +74,12 @@ class DiscrepancyParams:
 
     c: Mapping[int, float]
 
+    def __post_init__(self) -> None:
+        # a NaN or infinite C would pass every word, and C <= 0 would fail every one
+        for base, c in self.c.items():
+            if base < 2 or not (math.isfinite(c) and c > 0):
+                raise ValueError(f"filter constant C_{base} = {c}: need base >= 2, finite C > 0")
+
     @classmethod
     def default(cls) -> "DiscrepancyParams":
         return cls(dict(DEFAULT_C))
@@ -153,7 +159,7 @@ def _deviation_threshold(c: float, n: int) -> float:
 def _extremal_deviations(word: DigitWord) -> Iterator[tuple[int, float]]:
     """Yield (n, dev) for every prefix length n >= DEFAULT_N that a block still fits.
 
-    dev is the largest of max_count/n - b^-l and b^-l - min_count/n over
+    dev is the largest of max_counts[l]/n - b^-l and b^-l - min_counts[l]/n over
     the block lengths 1 <= l <= min(|w| - DEFAULT_N, Z_LEN_CAP) with
     n <= |w| - l.  Only the extremal counts can break the two-sided
     frequency bound, so one streaming pass serves every prefix.
@@ -163,7 +169,7 @@ def _extremal_deviations(word: DigitWord) -> Iterator[tuple[int, float]]:
         raise WordTooShortError(f"word length {total} does not exceed N_{base} = {DEFAULT_N}")
     l_max = min(total - DEFAULT_N, Z_LEN_CAP)
     counter = BlockCounter(base, l_max)
-    max_count, min_count = counter.max_count, counter.min_count
+    max_counts, min_counts = counter.max_counts, counter.min_counts
     inv = [0.0] + [base**-l for l in range(1, l_max + 1)]
     # the full word (n = total) leaves no room for any block, so it is not read
     for n, d in enumerate(word.digits[:-1], start=1):
@@ -172,8 +178,8 @@ def _extremal_deviations(word: DigitWord) -> Iterator[tuple[int, float]]:
             continue
         dev = -math.inf
         for l in range(1, min(l_max, total - n) + 1):
-            hi = max_count(l) / n - inv[l]
-            lo = inv[l] - min_count(l) / n
+            hi = max_counts[l] / n - inv[l]
+            lo = inv[l] - min_counts[l] / n
             if hi > dev:
                 dev = hi
             if lo > dev:

@@ -160,19 +160,27 @@ def test_streaming_counts_equal_naive_recount():
 
 
 def test_streaming_extremal_counts():
+    # max_counts and min_counts are current after every push, not only at the end
     rng = random.Random(7)
-    for _ in range(30):
-        base = rng.randrange(2, 4)
-        n = rng.randrange(4, 200)
+    climbed = set()
+    for i in range(30):
+        base, l_max = 2 + i % 5, 1 + i % 6  # every pair of base 2-6 and l_max 1-6
+        n = rng.randrange(base * 8, 320)
         word = rand_word(rng, base, n)
-        counter = BlockCounter(base, 3)
-        counter.extend(word)
-        for l in range(1, min(3, n) + 1):
-            counts = naive_counts(word, l)
-            assert counter.max_count(l) == max(counts.values())
-            space = base**l
-            expected_min = min(counts.values()) if len(counts) == space else 0
-            assert counter.min_count(l) == expected_min
+        counter = BlockCounter(base, l_max)
+        for m, d in enumerate(word.digits, start=1):
+            counter.push(d)
+            prefix = word.prefix(m)
+            for l in range(1, min(l_max, m) + 1):
+                counts = naive_counts(prefix, l)
+                expected_min = min(counts.values()) if len(counts) == base**l else 0
+                assert counter.max_counts[l] == max(counts.values())
+                assert counter.min_counts[l] == expected_min
+                if expected_min > 1:
+                    climbed.add((base, l))
+    # the minimum leaves 0 and climbs in every base, and past l = 1 somewhere
+    assert {b for b, _ in climbed} == {2, 3, 4, 5, 6}
+    assert any(l > 1 for _, l in climbed)
 
 
 def test_counter_validation():
@@ -183,9 +191,9 @@ def test_counter_validation():
         counter.push(2)
     counter.push(0)
     with pytest.raises(ValueError):
-        counter.max_count(0)
+        counter.distribution(0)
     with pytest.raises(ValueError):
-        counter.min_count(3)
+        counter.distribution(3)
 
 
 # ---------------------------------------------------------------------------

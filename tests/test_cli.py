@@ -324,6 +324,23 @@ def test_calibrate_out_naming_a_directory_exits_two(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # no temporary file left behind
 
 
+@pytest.mark.parametrize("name", ["", "missing/disc.ini"])
+def test_calibrate_checks_out_before_the_run(name, tmp_path, capsys, monkeypatch):
+    import fsdim.cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("calibrate reached with an unusable --out")
+
+    monkeypatch.setattr(fsdim.cli, "calibrate", unreachable)
+    out = str(tmp_path / name)  # an existing directory, or a file in a missing one
+    assert main(["calibrate", "--base", "2", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out {out} ")
+    assert ".tmp" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_calibrate_rejects_bad_base(capsys):
     assert main(["calibrate", "--base", "1"]) == 2
     capsys.readouterr()

@@ -1,5 +1,7 @@
 """Discrepancy: closed form vs brute force, filter behavior, calibration."""
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from fsdim.discrepancy import (
     DiscrepancyParams,
     FilterGiveUp,
     WordTooShortError,
+    _extremal_deviations,
     calibrate,
     discrepancy_statistic,
     low_discrepancy_test,
@@ -82,7 +85,6 @@ def test_filter_deviations_match_occurrence_count():
     word = DigitWord(2, tuple(rng.randrange(2) for _ in range(120)))
     params = params_for_tests()
     c = params.c_for(2)
-    import math
 
     violated = False
     for l in (1, 2, 3):
@@ -97,6 +99,27 @@ def test_filter_deviations_match_occurrence_count():
                 if dev >= threshold:
                     violated = True
     assert low_discrepancy_test(word, params) == (not violated)
+
+
+# sha256 of every (n, dev) the scan yields and of each word's statistic, in
+# hex floats, over the words below; any change to a filter decision moves it
+FILTER_DIGEST = "6408ee4ea81a3b3c7e54551401aa56e08317cdd4c334d072bfc106822bb6d727"
+
+
+def test_filter_deviations_match_golden_digest():
+    rng = random.Random(2208)
+    words = []
+    for i in range(40):
+        base = 2 + i % 5
+        length = rng.choice((51, 52, 56, 57)) if i < 5 else rng.randrange(51, 3001)
+        words.append(DigitWord(base, tuple(rng.randrange(base) for _ in range(length))))
+    words += [DigitWord(3, (0,) * 300), DigitWord(4, (0, 1, 2, 3) * 200)]
+    h = hashlib.sha256()
+    for w in words:
+        for n, dev in _extremal_deviations(w):
+            h.update(f"{n},{dev.hex()}\n".encode())
+        h.update(f"stat {discrepancy_statistic(w).hex()}\n".encode())
+    assert h.hexdigest() == FILTER_DIGEST
 
 
 def test_statistic_is_exact_pass_boundary():
@@ -186,3 +209,17 @@ def test_missing_base_is_an_error():
     params = DiscrepancyParams({2: 1.0})
     with pytest.raises(ValueError):
         params.c_for(7)
+
+
+@pytest.mark.parametrize("base, c", [
+    (2, math.nan), (2, math.inf), (2, -math.inf), (2, 0.0), (2, -1.0),
+    (1, 1.0), (0, 1.0), (-3, 1.0),
+])
+def test_constant_outside_the_filter_range_is_refused(base, c, tmp_path):
+    path = tmp_path / "filter.cfg"
+    path.write_text(f"[discrepancy]\nC_{base} = {c}\n")
+    for make in (lambda: DiscrepancyParams({base: c}),
+                 lambda: DiscrepancyParams.default().with_base(base, c),
+                 lambda: DiscrepancyParams.read_config(path)):
+        with pytest.raises(ValueError, match=f"C_{base} = "):
+            make()
