@@ -323,24 +323,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("construct", help="run the staged construction")
+    run = ConstructionParams()  # the run options default to the library's defaults
     p.add_argument("--plan", required=True, help="plan file (q/growth/alpha lines)")
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--mode", choices=("sampled",), default="sampled",
                    help="candidate search (seeded sampling is the only one)")
-    p.add_argument("--samples", type=int, default=64, help="candidates per step")
+    p.add_argument("--samples", type=int, default=run.samples, help="candidates per step")
     p.add_argument("--seed", default="0")
-    p.add_argument("--tolerance", type=float, default=0.1,
+    p.add_argument("--tolerance", type=float, default=run.tolerance,
                    help="entropy tolerance override for desk-scale runs")
-    p.add_argument("--min-digits", type=int, default=0,
+    p.add_argument("--min-digits", type=int, default=run.min_digits,
                    help="digits each substage must fix before closing")
-    p.add_argument("--budget", type=int, default=4096, help="steps per substage")
-    p.add_argument("--transition-l", type=float, default=4.0,
+    p.add_argument("--budget", type=int, default=run.step_budget, help="steps per substage")
+    p.add_argument("--transition-l", type=float, default=run.transition_l,
                    help="block-length constant of the transition inequalities")
-    p.add_argument("--margin", type=float, default=0.0,
+    p.add_argument("--margin", type=float, default=run.transition_margin,
                    help="floor for the transition margin (0 = exact)")
-    p.add_argument("--weyl-gamma", type=float, default=0.05,
+    p.add_argument("--weyl-gamma", type=float, default=run.weyl_gamma,
                    help="Weyl-average threshold gamma (checked against gamma/2)")
-    p.add_argument("--t-cap", type=int, default=None,
+    p.add_argument("--t-cap", type=int, default=run.t_cap,
                    help="truncate the objective's frequency range")
     p.add_argument("--out", default="construction", help="output directory")
     p.set_defaults(func=cmd_construct)

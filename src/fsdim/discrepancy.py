@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 from fsdim.base_arith import DigitWord, atomic_write_text
-from fsdim.blockstats import BlockCounter
+from fsdim.blockstats import BLOCK_SPACE_LIMIT, BlockCounter
 
 __all__ = [
     "DEFAULT_C",
@@ -70,7 +70,8 @@ MAX_ATTEMPTS = 64
 
 @dataclass(frozen=True)
 class DiscrepancyParams:
-    """Per-base filter constants C_b."""
+    """Per-base filter constants C_b, for the bases 2..16 whose blocks of
+    length Z_LEN_CAP fit BLOCK_SPACE_LIMIT."""
 
     c: Mapping[int, float]
 
@@ -79,6 +80,12 @@ class DiscrepancyParams:
         for base, c in self.c.items():
             if base < 2 or not (math.isfinite(c) and c > 0):
                 raise ValueError(f"filter constant C_{base} = {c}: need base >= 2, finite C > 0")
+            # the filter counts every block of length Z_LEN_CAP; refused here,
+            # a larger alphabet cannot reach a run and die at its first long word
+            if base**Z_LEN_CAP > BLOCK_SPACE_LIMIT:
+                raise ValueError(
+                    f"filter constant C_{base} = {c}: {base}^{Z_LEN_CAP} blocks"
+                    f" exceed the tracking limit {BLOCK_SPACE_LIMIT}")
 
     @classmethod
     def default(cls) -> "DiscrepancyParams":
@@ -113,11 +120,14 @@ class DiscrepancyParams:
         if not cp.has_section("discrepancy"):
             raise ValueError(f"{path}: missing [discrepancy] section")
         c: dict[int, float] = {}
-        for key, value in cp.items("discrepancy"):
-            if not key.startswith("C_"):
-                raise ValueError(f"{path}: unknown key {key!r}")
-            c[int(key[2:])] = float(value)
-        return cls(c)
+        try:
+            for key, value in cp.items("discrepancy"):
+                if not key.startswith("C_"):
+                    raise ValueError(f"unknown key {key!r}")
+                c[int(key[2:])] = float(value)
+            return cls(c)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def star_discrepancy(points: Iterable[Union[float, Fraction]]) -> float:

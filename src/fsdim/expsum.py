@@ -1,14 +1,16 @@
 """Exponential sums over digit orbits.
 
-Everything here feeds on the orbit t * b**(j-1) * x mod 1, through one
-engine: _orbit_phases reduces the orbit exactly (one big-integer mulmod
-per j) and rounds each phase once, and _phase_sum forms
-sum_j e(t * phase_j) in one numpy pass per t.  Each term is within
-2*pi*|t|*2**-52 of exact, plus the rounding of exp.  The module
-provides Weyl prefix averages, the step objective A_m that the
-construction minimizes with its exact oracle a_m_naive, sine-ratio
-products, the all-cosines constant eta = 2/pi, and a certificate
-turning small Weyl averages into a digit-uniformity guarantee.
+Everything here feeds on the orbit t * b**(j-1) * x mod 1.  For an
+exact point x, _orbit_phases reduces the orbit exactly (one big-integer
+mulmod per j) and rounds each phase once, so each term is within
+2*pi*|t|*2**-52 of exact, plus the rounding of exp.
+weyl_max_from_digits instead reads each phase off a window of the
+point's leading digits.  Either way _phase_sum forms sum_j e(t * phase_j)
+in one numpy pass per t.  The module provides Weyl prefix averages, the
+step objective A_m that the construction minimizes with its exact
+oracle a_m_naive, the sine ratio of good-sequence condition 1, the
+all-cosines constant eta = 2/pi, and a certificate turning small Weyl
+averages into a digit-uniformity guarantee.
 
 For x = k/D with small D, weyl_report reads its averages off one DFT
 instead: the orbit of k is k times the orbit of 1 mod D, so
@@ -43,7 +45,6 @@ __all__ = [
     "a_m",
     "a_m_naive",
     "sin_ratio",
-    "sin_ratio_product",
     "eta_constant",
     "check_sin_lower_bound",
 ]
@@ -315,24 +316,6 @@ def sin_ratio(p: int, x: Real) -> float:
     if (p * math.pi * xf) ** 2 < 6.0 * 2.0 ** -53:
         return 1.0
     return abs(math.sin(p * math.pi * xf) / (p * math.sin(math.pi * xf)))
-
-
-def sin_ratio_product(p: int, s: int, L: int, i_from: int, i_to: int) -> float:
-    """Product of sin_ratio(p, L / s**i) for i = i_from .. i_to.
-
-    Each argument is reduced exactly as (L mod s**i) / s**i before the
-    float conversion.  An empty range gives 1.  The tail beyond i_to
-    is a product of factors in (0, 1], so the finite value is an upper
-    bound for the infinite product.
-    """
-    if s < 2:
-        raise ValueError(f"need a base s >= 2, got {s}")
-    product = 1.0
-    power = s ** i_from if i_from <= i_to else 1
-    for _ in range(i_from, i_to + 1):
-        product *= sin_ratio(p, Fraction(L % power, power))
-        power *= s
-    return product
 
 
 def eta_constant(terms: int) -> float:

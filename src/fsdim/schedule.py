@@ -490,9 +490,6 @@ def read_plan_file(path) -> StagePlan:
 # good-sequence validation
 
 
-TAIL_TERMS = 200  # factors kept of condition 1's sine products; see _tail_lower_bound
-
-
 @dataclass(frozen=True)
 class ConditionCheck:
     m: int
@@ -514,16 +511,6 @@ class GoodSequenceReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _tail_lower_bound(p: int, i_start: int) -> float:
-    # Product over i >= i_start of |sin(p*pi/2**(i+1)) / (p*sin(pi/2**(i+1)))|.
-    # Each factor is >= 1 - (p**2-1)*x**2/6 at x = pi/2**(i+1), and the
-    # Weierstrass bound turns the product into 1 - sum of the deficits:
-    # sum_{i>=I} (pi/2**(i+1))**2 = pi**2 / (3*4**I).
-    # exp/log form underflows to 0 gracefully where 4.0**i_start would overflow
-    deficit = math.exp(math.log((p * p - 1) * math.pi ** 2 / 18.0) - i_start * math.log(4.0))
-    return max(0.0, 1.0 - deficit)
-
-
 def validate_good_sequence(sched: Schedule, plan: StagePlan, m_max: int) -> GoodSequenceReport:
     """Check the four good-sequence conditions for m = 1 .. m_max.
 
@@ -531,23 +518,25 @@ def validate_good_sequence(sched: Schedule, plan: StagePlan, m_max: int) -> Good
 
     Condition 1 (m > 1): the tail product of sine ratios at argument
     1/2**(i+1), i >= b_m - 1, with multiplier p(u(m)) stays above the
-    all-cosines constant 2/pi.  Products are truncated after
-    TAIL_TERMS factors and the dropped tail replaced by a
-    rigorous lower bound, so a reported pass is sound.
+    all-cosines constant 2/pi.  The product stops at its first factor
+    of exactly 1: sin_ratio returns 1 below a cutoff argument, where
+    the true ratio is within 2**-53 of 1, and the arguments only
+    shrink, so every later factor is 1 as well.  The dropped deficits
+    shrink fourfold per factor and sum to less than 2**-52.
     Condition 2: beta_m >= beta_1 / m**(1/4) using the alpha table.
     Condition 3: u(m) <= u(1)*m, exact.
     Condition 4: after any earlier step with a different base,
     b_m - a_m >= DEFAULT_N, the filter's threshold N_b(1/2), which is
     the same for u(m) and p(u(m)).
     """
-    from .expsum import eta_constant, sin_ratio_product
+    from .expsum import sin_ratio
 
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     if m_max > len(sched):
         raise ValueError(f"m_max={m_max} exceeds schedule length {len(sched)}")
     alpha = plan.alpha
-    eta = eta_constant(TAIL_TERMS)
+    eta = 2 / math.pi
     checks: list[ConditionCheck] = []
     beta_1 = beta_m(sched, alpha, 1)
     for m in range(1, m_max + 1):
@@ -555,9 +544,13 @@ def validate_good_sequence(sched: Schedule, plan: StagePlan, m_max: int) -> Good
         p = plan.p_of(u_m)
         if m > 1:
             b = sched.b(m)
-            # factors i = b_m-1 .. b_m-2+TAIL_TERMS, then the bounded tail
-            head = sin_ratio_product(p, 2, 1, b, b - 1 + TAIL_TERMS)
-            lower = head * _tail_lower_bound(p, b - 1 + TAIL_TERMS)
+            # the factors at argument 1/2**j for j = b_m, b_m+1, ..., up to
+            # the first one that sin_ratio returns as its limit 1
+            lower = 1.0
+            j = b
+            while (factor := sin_ratio(p, Fraction(1, 2**j))) != 1.0:
+                lower *= factor
+                j += 1
             checks.append(
                 ConditionCheck(
                     m,

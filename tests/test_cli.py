@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -7,7 +8,8 @@ import random
 import pytest
 
 from fsdim.base_arith import DigitWord, read_digit_file, write_digit_file
-from fsdim.cli import main
+from fsdim.cli import _build_parser, main
+from fsdim.constructor import ConstructionParams
 from fsdim.discrepancy import DiscrepancyParams
 
 
@@ -160,6 +162,8 @@ def test_construct_rejects_inconsistent_plan(tmp_path, capsys):
         ("q 2 1/3\n", ["base 8", covered]),
         # stage 1 alone is fine, but its close-out looks ahead to base 3^2
         ("q 2 1/2\nq 3 1/2\n", ["base 9", covered]),
+        # base 2^5 has more length-6 blocks than the filter can track
+        ("q 2 1/5\n", ["base 32", covered]),
     ]
     for i, (text, messages) in enumerate(cases):
         plan = tmp_path / f"bad{i}.txt"
@@ -170,6 +174,16 @@ def test_construct_rejects_inconsistent_plan(tmp_path, capsys):
         err = capsys.readouterr().err
         assert all(message in err for message in messages), err
         assert not (out / "trace.csv").exists()
+
+
+def test_construct_defaults_are_the_run_defaults():
+    args = _build_parser().parse_args(["construct", "--plan", "plan.txt", "--stages", "1"])
+    defaults = {f.name: f.default for f in dataclasses.fields(ConstructionParams)}
+    flags = {"samples": "samples", "tolerance": "tolerance", "min_digits": "min_digits",
+             "budget": "step_budget", "transition_l": "transition_l",
+             "margin": "transition_margin", "weyl_gamma": "weyl_gamma", "t_cap": "t_cap"}
+    for dest, name in flags.items():
+        assert getattr(args, dest) == defaults[name], dest
 
 
 def test_construct_zero_stages_is_success(plan_file, tmp_path, capsys):

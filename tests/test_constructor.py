@@ -835,3 +835,18 @@ def test_run_construction_rejects_unfiltered_bases_before_any_step(monkeypatch):
     with pytest.raises(AssertionError, match="before the plan"):
         run_construction(StagePlan({2: Fraction(1, 2), 3: Fraction(1, 2)}), 1,
                          params=ConstructionParams(disc=disc))
+
+
+def test_run_construction_rejects_bases_past_the_block_space_limit(monkeypatch):
+    import fsdim.constructor as constructor
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before the plan was checked")
+
+    monkeypatch.setattr(constructor, "select_step", no_step)
+    # q = 1/5 puts stage 1 in base 32, and no filter constants can cover it:
+    # 32^6 blocks are more than the filter's counter tracks
+    with pytest.raises(ValueError, match="base 32"):
+        run_construction(StagePlan({2: Fraction(1, 5)}), 1)
+    with pytest.raises(ValueError, match="tracking limit"):
+        ConstructionParams(disc=DiscrepancyParams.default().with_base(32, 0.8))

@@ -223,3 +223,30 @@ def test_constant_outside_the_filter_range_is_refused(base, c, tmp_path):
                  lambda: DiscrepancyParams.read_config(path)):
         with pytest.raises(ValueError, match=f"C_{base} = "):
             make()
+
+
+@pytest.mark.parametrize("body, message", [
+    ("C_2 = nan", "C_2 = nan"),
+    ("C_2 = high", "could not convert"),
+])
+def test_read_config_errors_name_the_file(body, message, tmp_path):
+    path = tmp_path / "filter.cfg"
+    path.write_text(f"[discrepancy]\n{body}\n")
+    with pytest.raises(ValueError) as info:
+        DiscrepancyParams.read_config(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("base", [17, 25, 32])
+def test_bases_past_the_block_space_limit_are_refused(base, tmp_path):
+    # 16^6 blocks still fit the counter; 17^6 and up would make
+    # sample_good_string fail at its first word longer than DEFAULT_N + 5
+    DiscrepancyParams({16: 0.8})
+    path = tmp_path / "filter.cfg"
+    path.write_text(f"[discrepancy]\nC_{base} = 0.8\n")
+    for make in (lambda: DiscrepancyParams({base: 0.8}),
+                 lambda: DiscrepancyParams.default().with_base(base, 0.8),
+                 lambda: DiscrepancyParams.read_config(path)):
+        with pytest.raises(ValueError, match=f"{base}\\^6 blocks exceed the tracking limit 16777216"):
+            make()

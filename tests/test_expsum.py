@@ -21,7 +21,6 @@ from fsdim.expsum import (
     e_of,
     eta_constant,
     sin_ratio,
-    sin_ratio_product,
     weyl_average,
     weyl_entropy_certificate,
     weyl_report,
@@ -275,22 +274,14 @@ def test_sin_ratio_bounded(x, p):
     assert 0.0 <= v <= 1.0 + 1e-12
 
 
-def test_sin_ratio_product_viete():
-    # p=s=2 turns each factor into cos(pi/2**i); offsetting the range by
-    # one reproduces the all-cosines constant
-    prod = sin_ratio_product(2, 2, 1, 2, 41)
+def test_sin_ratio_viete():
+    # at p = 2 each factor is cos(pi/2**i); starting the product at i = 2
+    # reproduces the all-cosines constant
+    prod = 1.0
+    for i in range(2, 42):
+        prod *= sin_ratio(2, Fraction(1, 2**i))
     assert prod == pytest.approx(eta_constant(40), abs=1e-12)
     assert prod == pytest.approx(2 / math.pi, abs=1e-8)
-
-
-def test_sin_ratio_product_edges():
-    assert sin_ratio_product(2, 2, 1, 5, 4) == 1.0  # empty range
-    vals = [sin_ratio_product(3, 2, 7, 2, hi) for hi in range(2, 30)]
-    assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
-    # arguments reduce mod 1: L = s**i gives factor 1
-    assert sin_ratio_product(2, 2, 8, 3, 3) == 1.0
-    with pytest.raises(ValueError):
-        sin_ratio_product(2, 1, 1, 1, 2)
 
 
 def test_eta_constant():

@@ -1,6 +1,7 @@
 """Schedule arithmetic against factorization and high-precision oracles."""
 
 import decimal
+import hashlib
 import math
 from fractions import Fraction
 
@@ -451,6 +452,44 @@ def test_good_sequence_condition4_violation_after_switch():
     big = Schedule((3, 4), ScaledGrowth(8, 2000))
     report2 = validate_good_sequence(big, plan, 2)
     assert (2, 4) not in {(c.m, c.condition) for c in report2.failures()}
+
+
+def test_good_sequence_condition1_violation():
+    # p = 7 from b_2 = 2 on: the sine product is about 0.0132, far below 2/pi
+    plan = StagePlan({2: 1, 7: 1}, TableGrowth((1, 2, 3)))
+    sched = Schedule((2, 7), plan.growth)
+    report = validate_good_sequence(sched, plan, 2)
+    [check] = [c for c in report.checks if (c.m, c.condition) == (2, 1)]
+    assert not check.passed
+    assert check.detail.startswith("tail sine product >= 0.0132")
+
+
+def _golden_validator_cases():
+    # two steps put condition 1 at m = 2, with b_2 = ceil(last / ln u)
+    for u in range(2, 65):
+        for last in range(3, 160, 3):
+            yield Schedule((2, u), TableGrowth((1, 2, last))), 2
+    # a long run whose base cycles through 2..64
+    n = 126
+    growth = TableGrowth(tuple(range(1, n + 2)))
+    yield Schedule(tuple(2 + 5 * m % 63 for m in range(n)), growth), n
+
+
+# sha256 of every (m, condition, passed, detail) the cases above report
+VALIDATOR_GOLDEN = "a72caee929b66f5b688b97c86c6ead36d9f98a1f8e36b56d801023f29e876ec2"
+
+
+def test_good_sequence_checks_match_golden_digest():
+    plan = StagePlan({u: 1 for u in range(2, 65)})  # q = 1 makes p(u) = u
+    digest = hashlib.sha256()
+    b_seen, p_seen = set(), set()
+    for sched, m_max in _golden_validator_cases():
+        b_seen |= {sched.b(m) for m in range(2, m_max + 1)}
+        p_seen |= {plan.p_of(sched.base(m)) for m in range(2, m_max + 1)}
+        for c in validate_good_sequence(sched, plan, m_max).checks:
+            digest.update(repr((c.m, c.condition, c.passed, c.detail)).encode())
+    assert set(range(1, 41)) <= b_seen and set(range(2, 65)) <= p_seen
+    assert digest.hexdigest() == VALIDATOR_GOLDEN
 
 
 def test_good_sequence_condition2_violation():
