@@ -6,7 +6,7 @@ the final log-sum is evaluated in floating point, with natural logs
 normalized by l*ln(base) so values land in [0, 1].  Entropies are read
 in batch, at one prefix or at many in one pass (:func:`prefix_entropies`);
 the streaming :class:`BlockCounter` serves the low-discrepancy filter, which
-reads the per-length extremal counts that every push keeps current.
+reads the per-length extremal counts that every push keeps in one level list.
 """
 
 from __future__ import annotations
@@ -92,10 +92,10 @@ class BlockCounter:
     Each push keeps the extremal counts of every block length l up to
     l_max current in two lists that the filter reads directly:
     ``max_counts[l]`` and ``min_counts[l]``, the minimum over all base^l
-    blocks (0 while any block is unseen).  A count-of-counts per length,
-    seeded with the base^l unseen blocks at count 0, moves the minimum
-    from c to c+1 when its last block at c leaves.  Entropies of prefixes
-    are read in batch by :func:`prefix_entropies`.
+    blocks (0 while any block is unseen).  A level list per length counts,
+    for each c, the blocks seen at least c times: a push that opens level
+    c makes c the maximum, and one that fills it to base^l the minimum.
+    Entropies of prefixes are read in batch by :func:`prefix_entropies`.
     """
 
     def __init__(self, base: int, l_max: int):
@@ -105,7 +105,7 @@ class BlockCounter:
         self.n = 0
         self._counts: list[dict[int, int]] = [dict() for _ in range(l_max + 1)]
         self._keys = [0] * (l_max + 1)  # packed key of the last l digits
-        self._count_of_counts = [{0: base**l} for l in range(l_max + 1)]
+        self._levels = [[base**l] for l in range(l_max + 1)]
         self.max_counts = [0] * (l_max + 1)
         self.min_counts = [0] * (l_max + 1)
 
@@ -123,16 +123,13 @@ class BlockCounter:
             counts = self._counts[l]
             c = counts.get(k, 0) + 1
             counts[k] = c
-            if c > max_counts[l]:
+            levels = self._levels[l]
+            if c == len(levels):
+                levels.append(1)
                 max_counts[l] = c
-            cc = self._count_of_counts[l]
-            cc[c] = cc.get(c, 0) + 1
-            left = cc[c - 1] - 1
-            if left:
-                cc[c - 1] = left
             else:
-                del cc[c - 1]
-                if min_counts[l] == c - 1:
+                levels[c] += 1
+                if levels[c] == levels[0]:
                     min_counts[l] = c
 
     def extend(self, digits: Iterable[int]) -> None:

@@ -702,7 +702,7 @@ def run_construction(
                 v=v,
                 v_star=v_star,
                 p1=p1,
-                p2=None if exhausted and second_check is None else m,
+                p2=None if exhausted else m,
                 first_check=first_check,
                 second_check=second_check,
             )

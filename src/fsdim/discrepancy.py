@@ -94,8 +94,11 @@ class DiscrepancyParams:
     def c_for(self, base: int) -> float:
         if base not in self.c:
             covered = ", ".join(str(b) for b in sorted(self.c))
-            raise ValueError(
-                f"no filter constant C for base {base} (constants exist for bases {covered})")
+            msg = f"no filter constant C for base {base} (constants exist for bases {covered})"
+            if base**Z_LEN_CAP > BLOCK_SPACE_LIMIT:
+                msg += (f"; none can cover it: its {base}^{Z_LEN_CAP} blocks exceed"
+                        f" the tracking limit {BLOCK_SPACE_LIMIT}")
+            raise ValueError(msg)
         return self.c[base]
 
     def with_base(self, base: int, c: float) -> "DiscrepancyParams":

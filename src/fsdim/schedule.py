@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, TypeVar, Union
 
 from .discrepancy import DEFAULT_N
 
@@ -289,6 +289,15 @@ class Schedule:
 # ---------------------------------------------------------------------------
 # alpha table and beta
 
+_K, _V = TypeVar("_K"), TypeVar("_V")
+# a table's entries: a mapping, or (key, value) pairs, which may repeat a key
+_Entries = Union[Mapping[_K, _V], Iterable[tuple[_K, _V]]]
+
+
+def _pairs(entries: _Entries[_K, _V]) -> Iterable[tuple[_K, _V]]:
+    return entries.items() if isinstance(entries, Mapping) else entries
+
+
 _ALPHA_CAP = 0.5
 
 
@@ -300,9 +309,9 @@ class AlphaTable:
     these numbers.
     """
 
-    def __init__(self, entries: Optional[Mapping[tuple[int, int], float]] = None):
+    def __init__(self, entries: Optional[_Entries[tuple[int, int], float]] = None):
         table: dict[tuple[int, int], float] = {}
-        for (r, s), val in (entries or {}).items():
+        for (r, s), val in _pairs(entries or {}):
             if r < 2 or s < 2:
                 raise ValueError(f"alpha bases must be >= 2, got ({r}, {s})")
             if not 0.0 < val <= _ALPHA_CAP:
@@ -363,14 +372,12 @@ class StagePlan:
 
     def __init__(
         self,
-        q: Mapping[int, Union[Fraction, int, str]],
+        q: _Entries[int, Union[Fraction, int, str]],
         growth: Optional[Growth] = None,
         alpha: Optional[AlphaTable] = None,
     ):
-        if not q:
-            raise ValueError("a stage plan needs at least one q entry")
         table: dict[int, Fraction] = {}
-        for b, raw in q.items():
+        for b, raw in _pairs(q):
             if b < 2:
                 raise ValueError(f"base must be >= 2, got {b}")
             rep = primitive_root(b)[0]
@@ -381,10 +388,10 @@ class StagePlan:
                     f"given both {table[rep]} and {val}"
                 )
             table[rep] = val
+        if not table:
+            raise ValueError("a stage plan needs at least one q entry")
         self._q = table
-        if growth is None:
-            growth = ScaledGrowth()
-        self.growth = growth
+        self.growth = growth if growth is not None else ScaledGrowth()
         self.alpha = alpha if alpha is not None else AlphaTable()
 
     def q_for(self, b: int) -> Fraction:
@@ -433,52 +440,40 @@ def parse_plan(text: str) -> StagePlan:
         alpha <r> <s> <value>    pairwise exponent for the validator
 
     Growth defaults to ``scaled 8 4`` when absent.  Conflicting q
-    values for equivalent bases are rejected.
+    values for equivalent bases are rejected.  Every error names its line.
     """
-    q: dict[int, Fraction] = {}
-    alpha_entries: dict[tuple[int, int], float] = {}
-    growth_spec: Optional[tuple] = None
+    q: list[tuple[int, str]] = []
+    alpha: list[tuple[tuple[int, int], float]] = []
+    growth: Union[Growth, str] = ScaledGrowth()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
+        where = f"plan line {lineno}: {raw.strip()!r}"
         try:
+            # each line is checked by the type that owns its rule as it is read
             if parts[0] == "q" and len(parts) == 3:
-                b = int(parts[1])
-                val = _as_q(parts[2])
-                rep = primitive_root(b)[0]
-                if rep in q and q[rep] != val:
-                    raise ValueError(
-                        f"conflicting q for equivalent bases in class of {rep}"
-                    )
-                q[rep] = val
+                q.append((int(parts[1]), parts[2]))
+                StagePlan(q)
             elif parts[0] == "growth" and parts[1] == "paper" and len(parts) == 2:
-                growth_spec = ("paper",)
+                growth = where  # resolved below: u1 = v(1) needs every q line
             elif parts[0] == "growth" and parts[1] == "scaled" and len(parts) == 4:
-                growth_spec = ("scaled", int(parts[2]), int(parts[3]))
+                growth = ScaledGrowth(int(parts[2]), int(parts[3]))
             elif parts[0] == "alpha" and len(parts) == 4:
-                r, s, val = int(parts[1]), int(parts[2]), float(parts[3])
-                key = (min(r, s), max(r, s))
-                if key in alpha_entries and alpha_entries[key] != val:
-                    raise ValueError(f"conflicting alpha values for pair {key}")
-                alpha_entries[key] = val
+                alpha.append(((int(parts[1]), int(parts[2])), float(parts[3])))
+                AlphaTable(alpha)
             else:
                 raise ValueError(f"unrecognized directive {parts[0]!r}")
         except (ValueError, ZeroDivisionError, IndexError) as exc:
-            raise ValueError(f"plan line {lineno}: {raw.strip()!r}: {exc}") from None
-    if not q:
-        raise ValueError("plan defines no q entries")
-
-    alpha = AlphaTable(alpha_entries)
-    if growth_spec is None or growth_spec[0] == "scaled":
-        c0, c1 = growth_spec[1:] if growth_spec else (8, 4)
-        growth: Growth = ScaledGrowth(c0, c1)
-    else:
-        # u(1) = v(1) = 2**d where q for the class of 2 is e/d
-        plan_probe = StagePlan(q, ScaledGrowth())
-        growth = PaperGrowth(plan_probe.v_of(1))
-    return StagePlan(q, growth, alpha)
+            raise ValueError(f"{where}: {exc}") from None
+    plan = StagePlan(q, alpha=AlphaTable(alpha))
+    if isinstance(growth, str):
+        try:
+            growth = PaperGrowth(plan.v_of(1))
+        except ValueError as exc:
+            raise ValueError(f"{growth}: {exc}") from None
+    return StagePlan(q, growth, plan.alpha)
 
 
 def read_plan_file(path) -> StagePlan:
@@ -538,9 +533,14 @@ def validate_good_sequence(sched: Schedule, plan: StagePlan, m_max: int) -> Good
     alpha = plan.alpha
     eta = 2 / math.pi
     checks: list[ConditionCheck] = []
-    beta_1 = beta_m(sched, alpha, 1)
+    # beta_m as a running minimum over the pairs (i, m) that step m adds;
+    # beta_1 has only the pair (1, 1), equivalent to itself, so it is the cap
+    beta_1 = bm = _ALPHA_CAP
     for m in range(1, m_max + 1):
         u_m = sched.base(m)
+        for i in range(1, m + 1):
+            if not equivalent(sched.base(i), u_m):
+                bm = min(bm, alpha.alpha(sched.base(i), u_m))
         p = plan.p_of(u_m)
         if m > 1:
             b = sched.b(m)
@@ -559,7 +559,6 @@ def validate_good_sequence(sched: Schedule, plan: StagePlan, m_max: int) -> Good
                     f"tail sine product >= {lower:.9g} vs eta {eta:.9g}",
                 )
             )
-        bm = beta_m(sched, alpha, m)
         cond2 = bm >= beta_1 / m ** 0.25
         checks.append(
             ConditionCheck(m, 2, cond2, f"beta_m={bm:.6g}, floor={beta_1 / m ** 0.25:.6g}")

@@ -212,6 +212,25 @@ def test_construct_budget_exhaustion_warns_but_succeeds(plan_file, tmp_path, cap
     assert not (out / "digits_stage1_base4.txt").exists()
 
 
+def test_construct_second_substage_out_of_budget_exports_no_digits(plan_file, tmp_path, capsys):
+    # the first substage closes; the second fails its Weyl check until the budget runs out
+    out = tmp_path / "short"
+    code = main([
+        "construct", "--plan", plan_file, "--stages", "1",
+        "--samples", "4", "--budget", "16", "--min-digits", "120",
+        "--transition-l", "0.5", "--tolerance", "0.15",
+        "--weyl-gamma", "0.01", "--out", str(out),
+    ])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "stage 1 incomplete; digits not exported" in err
+    assert "budget exhausted" in err
+    summary = json.loads((out / "monitors.json").read_text())
+    assert summary["stages"][0]["second_check"]["done"] is False
+    assert "requirements" not in summary
+    assert not (out / "digits_stage1_base4.txt").exists()
+
+
 def test_construct_out_naming_a_file_exits_two_before_the_run(
         plan_file, tmp_path, capsys, monkeypatch):
     import fsdim.cli

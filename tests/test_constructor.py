@@ -535,6 +535,22 @@ def test_run_construction_budget_exhaustion_marks_trace():
         check_requirements(trace, 1)
 
 
+def test_second_substage_out_of_budget_leaves_the_stage_incomplete():
+    # weyl_gamma 0.01 keeps the second substage's Weyl check failing, so
+    # the first substage closes and the second runs out of steps
+    plan = StagePlan({2: Fraction(1, 2)}, growth=ScaledGrowth(8, 4))
+    trace = run_construction(plan, 1, _fast_params(samples=4, step_budget=16, weyl_gamma=0.01))
+    assert trace.budget_exhausted
+    sb = trace.stage(1)
+    assert sb.first_check.done
+    assert sb.second_check is not None and not sb.second_check.done
+    assert sb.p2 is None
+    with pytest.raises(ValueError, match="incomplete"):
+        check_requirements(trace, 1)
+    with pytest.raises(ValueError, match="incomplete"):
+        trace.digits_for_stage(1)
+
+
 @pytest.fixture(scope="module")
 def three_stage_trace():
     # base pattern 4, 3, 4: stage 2 sees an inequivalent earlier base and

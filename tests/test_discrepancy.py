@@ -209,6 +209,12 @@ def test_missing_base_is_an_error():
     params = DiscrepancyParams({2: 1.0})
     with pytest.raises(ValueError):
         params.c_for(7)
+    # only bases whose length-6 blocks outgrow the counter are told no constant can help
+    limit = "exceed the tracking limit 16777216"
+    for base in (8, 17, 32):
+        with pytest.raises(ValueError, match="constants exist for bases 2") as info:
+            params.c_for(base)
+        assert (limit in str(info.value)) == (base > 16), str(info.value)
 
 
 @pytest.mark.parametrize("base, c", [

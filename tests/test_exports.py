@@ -77,16 +77,41 @@ def _private_top_level_names(tree: ast.Module) -> set:
             bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             bound |= {a.asname or a.name for a in node.names}
-    return {n for n in bound if n.startswith("_") and not n.startswith("__")}
+    return {n for n in bound if _is_private(n)}
+
+
+def _source_trees() -> dict:
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(fsdim.__file__).parent.glob("*.py"))}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
 
 
 def test_private_names_are_read():
     # a private name nothing in src/fsdim reads is dead code; tests and
     # perfbench reaching for it do not keep it alive
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(Path(fsdim.__file__).parent.glob("*.py"))}
+    trees = _source_trees()
     read = {n.id for tree in trees.values() for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     unread = sorted((stem, name) for stem, tree in trees.items()
                     for name in _private_top_level_names(tree) if name not in read)
     assert not unread, f"private names no src/fsdim module reads: {unread}"
+
+
+def test_private_attributes_are_read():
+    # a private attribute stored on self that no src/fsdim code loads
+    # (self._x = ... with no ._x read anywhere) is dead state
+    stored, loaded = set(), set()
+    for stem, tree in _source_trees().items():
+        for n in ast.walk(tree):
+            if not (isinstance(n, ast.Attribute) and _is_private(n.attr)):
+                continue
+            if isinstance(n.ctx, ast.Load):
+                loaded.add(n.attr)
+            elif isinstance(n.ctx, ast.Store) and getattr(n.value, "id", None) == "self":
+                stored.add((stem, n.attr))
+    assert stored
+    unread = sorted((stem, name) for stem, name in stored if name not in loaded)
+    assert not unread, f"private attributes no src/fsdim code reads: {unread}"

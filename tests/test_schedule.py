@@ -6,11 +6,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsdim.schedule import (
     AlphaTable,
+    ConditionCheck,
     PaperGrowth,
     ScaledGrowth,
     Schedule,
@@ -414,6 +415,20 @@ def test_parse_plan_rejects_garbage():
         parse_plan("q 1 1/2\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("q 2 1/2\ngrowth scaled 0 0\n", 2),
+    ("q 2 1/2\nalpha 2 3 0.9\n", 2),
+    ("q 2 1/2\nalpha 1 3 0.3\n", 2),
+    ("growth paper\nq 3 1/2\n", 1),  # u1 = v(1) needs a target for the class of 2
+    ("q 2 1/2\nq 4 1/3\n", 2),
+    ("q 2 1/2\nq 2 1/3\n", 2),
+    ("q 2 1/2\nalpha 2 3 0.3\nalpha 3 2 0.4\n", 3),
+])
+def test_plan_errors_name_their_line(text, line):
+    with pytest.raises(ValueError, match=f"^plan line {line}: "):
+        parse_plan(text)
+
+
 def test_read_plan_file(tmp_path):
     path = tmp_path / "plan.txt"
     path.write_text(PLAN_TEXT, encoding="ascii")
@@ -490,6 +505,30 @@ def test_good_sequence_checks_match_golden_digest():
             digest.update(repr((c.m, c.condition, c.passed, c.detail)).encode())
     assert set(range(1, 41)) <= b_seen and set(range(2, 65)) <= p_seen
     assert digest.hexdigest() == VALIDATOR_GOLDEN
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 25]), min_size=1, max_size=12),
+    st.dictionaries(
+        st.tuples(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 25]),
+                  st.sampled_from([2, 3, 4, 5, 6, 8, 9, 25])),
+        st.floats(min_value=0.01, max_value=0.5),
+        max_size=6,
+    ),
+)
+def test_good_sequence_condition2_matches_beta_m(u, entries):
+    # the validator keeps beta as a running minimum; beta_m is the reference
+    alpha = AlphaTable({(min(r, s), max(r, s)): v for (r, s), v in entries.items()})
+    plan = StagePlan({2: 1, 3: 1, 5: 1, 6: 1}, TableGrowth(tuple(range(1, 14))), alpha)
+    sched = Schedule(tuple(u), plan.growth)
+    beta_1 = beta_m(sched, alpha, 1)
+    got = [c for c in validate_good_sequence(sched, plan, len(u)).checks if c.condition == 2]
+    want = []
+    for m in range(1, len(u) + 1):
+        bm, floor = beta_m(sched, alpha, m), beta_1 / m ** 0.25
+        want.append(ConditionCheck(m, 2, bm >= floor, f"beta_m={bm:.6g}, floor={floor:.6g}"))
+    assert got == want
 
 
 def test_good_sequence_condition2_violation():
