@@ -7,6 +7,9 @@ normalized by l*ln(base) so values land in [0, 1].  Entropies are read
 in batch, at one prefix or at many in one pass (:func:`prefix_entropies`);
 the streaming :class:`BlockCounter` serves the low-discrepancy filter, which
 reads the per-length extremal counts that every push keeps in one level list.
+No table of base^l slots is built: the counter keeps its counts in dicts,
+and the batch readers sort packed int64 keys, so any base works and only a
+batch read with base^l > 2^63 is refused.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 from fsdim.base_arith import DigitWord
 
 __all__ = [
-    "BLOCK_SPACE_LIMIT",
     "BlockCounter",
     "BlockDistribution",
     "EntropyProfile",
@@ -32,17 +34,18 @@ __all__ = [
     "prefix_entropies",
 ]
 
-# Refuse alphabets with more than this many distinct blocks per length.
-BLOCK_SPACE_LIMIT = 1 << 24
-
-
-def _check_block_space(base: int, l: int) -> None:
+def _check_block_args(base: int, l: int) -> None:
     if base < 2:
         raise ValueError(f"base must be at least 2, got {base}")
     if l < 1:
         raise ValueError(f"block length must be positive, got {l}")
-    if base**l > BLOCK_SPACE_LIMIT:
-        raise ValueError(f"{base}^{l} blocks exceed the tracking limit {BLOCK_SPACE_LIMIT}")
+
+
+def _check_key_range(base: int, l: int) -> None:
+    # the batch readers pack each window into one int64 key below base^l
+    _check_block_args(base, l)
+    if base**l > 1 << 63:
+        raise ValueError(f"{base}^{l} blocks overflow the int64 block keys")
 
 
 def occurrence_count(z: DigitWord, w: DigitWord) -> int:
@@ -99,7 +102,7 @@ class BlockCounter:
     """
 
     def __init__(self, base: int, l_max: int):
-        _check_block_space(base, l_max)
+        _check_block_args(base, l_max)
         self.base = base
         self.l_max = l_max
         self.n = 0
@@ -174,8 +177,7 @@ def block_entropy(w: DigitWord, l: int) -> float:
     """Normalized block entropy H_l of the whole word (batch evaluation)."""
     _validate_block_args(w, l)
     arr = np.asarray(w.digits, dtype=np.int64)
-    counts = np.bincount(_packed_key_array(arr, w.base, l))
-    c = counts[counts > 0].astype(np.float64)
+    c = np.unique(_packed_key_array(arr, w.base, l), return_counts=True)[1].astype(np.float64)
     total = np.array([len(w) - l + 1])
     return float(_entropy_from_sums(np.array([(c * np.log(c)).sum()]), total, l, w.base)[0])
 
@@ -191,7 +193,7 @@ def prefix_entropies(
     every prefix.  The additions are those of a running sum updated once
     per window, in the same order, so each value is bit-identical to it.
     """
-    _check_block_space(base, l)
+    _check_key_range(base, l)
     ends = np.asarray(ends, dtype=np.int64)
     lo, hi = int(ends.min()), int(ends.max())
     if lo < l or hi > len(digits):
@@ -237,7 +239,7 @@ def _occurrence_ranks(keys: np.ndarray) -> np.ndarray:
 
 
 def _validate_block_args(w: DigitWord, l: int) -> None:
-    _check_block_space(w.base, l)
+    _check_key_range(w.base, l)
     if l > len(w):
         raise ValueError(f"block length {l} exceeds word length {len(w)}")
 
@@ -271,7 +273,7 @@ def entropy_profile(w: DigitWord, l_max: int, checkpoints: Sequence[int]) -> Ent
         raise ValueError(f"checkpoints must be positive, got {cps[0]}")
     if cps[-1] > len(w):
         raise ValueError(f"checkpoint {cps[-1]} beyond word length {len(w)}")
-    _check_block_space(w.base, l_max)
+    _check_key_range(w.base, min(l_max, cps[-1]))
     arr = np.asarray(w.digits[: cps[-1]], dtype=np.int64)
     table: dict[tuple[int, int], float] = {}
     for l in range(1, min(l_max, cps[-1]) + 1):
@@ -283,7 +285,8 @@ def entropy_profile(w: DigitWord, l_max: int, checkpoints: Sequence[int]) -> Ent
 
 def dimension_estimate(profile: EntropyProfile, tail_fraction: float = 0.5) -> float:
     """Finite-data estimate of inf_l liminf_n H_l: min over l of the minimum
-    entropy over the trailing ``tail_fraction`` of checkpoints."""
+    entropy over the trailing ``tail_fraction`` of checkpoints, read only where
+    n - l + 1 windows can hold all base^l blocks (elsewhere H_l < 1 by counting)."""
     if not 0 < tail_fraction <= 1:
         raise ValueError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
     cps = profile.checkpoints
@@ -293,8 +296,9 @@ def dimension_estimate(profile: EntropyProfile, tail_fraction: float = 0.5) -> f
         profile.table[(l, n)]
         for l in range(1, profile.l_max + 1)
         for n in tail
-        if (l, n) in profile.table
+        if (l, n) in profile.table and profile.base**l <= n - l + 1
     ]
     if not values:
-        raise ValueError("profile has no entries in the tail window")
+        raise ValueError(f"too few digits: no tail checkpoint n has the n - l + 1 >="
+                         f" {profile.base}^l windows any H_l needs to reach 1")
     return min(values)

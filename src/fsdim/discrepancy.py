@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 from fsdim.base_arith import DigitWord, atomic_write_text
-from fsdim.blockstats import BLOCK_SPACE_LIMIT, BlockCounter
+from fsdim.blockstats import BlockCounter
 
 __all__ = [
     "DEFAULT_C",
@@ -70,8 +70,7 @@ MAX_ATTEMPTS = 64
 
 @dataclass(frozen=True)
 class DiscrepancyParams:
-    """Per-base filter constants C_b, for the bases 2..16 whose blocks of
-    length Z_LEN_CAP fit BLOCK_SPACE_LIMIT."""
+    """Per-base filter constants C_b: one finite, positive C for each base b >= 2."""
 
     c: Mapping[int, float]
 
@@ -80,12 +79,6 @@ class DiscrepancyParams:
         for base, c in self.c.items():
             if base < 2 or not (math.isfinite(c) and c > 0):
                 raise ValueError(f"filter constant C_{base} = {c}: need base >= 2, finite C > 0")
-            # the filter counts every block of length Z_LEN_CAP; refused here,
-            # a larger alphabet cannot reach a run and die at its first long word
-            if base**Z_LEN_CAP > BLOCK_SPACE_LIMIT:
-                raise ValueError(
-                    f"filter constant C_{base} = {c}: {base}^{Z_LEN_CAP} blocks"
-                    f" exceed the tracking limit {BLOCK_SPACE_LIMIT}")
 
     @classmethod
     def default(cls) -> "DiscrepancyParams":
@@ -94,11 +87,8 @@ class DiscrepancyParams:
     def c_for(self, base: int) -> float:
         if base not in self.c:
             covered = ", ".join(str(b) for b in sorted(self.c))
-            msg = f"no filter constant C for base {base} (constants exist for bases {covered})"
-            if base**Z_LEN_CAP > BLOCK_SPACE_LIMIT:
-                msg += (f"; none can cover it: its {base}^{Z_LEN_CAP} blocks exceed"
-                        f" the tracking limit {BLOCK_SPACE_LIMIT}")
-            raise ValueError(msg)
+            raise ValueError(
+                f"no filter constant C for base {base} (constants exist for bases {covered})")
         return self.c[base]
 
     def with_base(self, base: int, c: float) -> "DiscrepancyParams":
@@ -118,18 +108,19 @@ class DiscrepancyParams:
     def read_config(cls, path: Union[str, os.PathLike]) -> "DiscrepancyParams":
         cp = configparser.ConfigParser()
         cp.optionxform = str
-        if not cp.read(os.fspath(path)):
-            raise ValueError(f"cannot read config {path}")
-        if not cp.has_section("discrepancy"):
-            raise ValueError(f"{path}: missing [discrepancy] section")
         c: dict[int, float] = {}
+        # configparser's own errors and undecodable bytes are named by the path too
         try:
+            if not cp.read(os.fspath(path), encoding="utf-8"):
+                raise ValueError("cannot read config")
+            if not cp.has_section("discrepancy"):
+                raise ValueError("missing [discrepancy] section")
             for key, value in cp.items("discrepancy"):
                 if not key.startswith("C_"):
                     raise ValueError(f"unknown key {key!r}")
                 c[int(key[2:])] = float(value)
             return cls(c)
-        except ValueError as exc:
+        except (ValueError, configparser.Error) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 

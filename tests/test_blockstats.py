@@ -113,8 +113,11 @@ def test_block_entropy_range_and_validation():
         block_entropy(w, 0)
     with pytest.raises(ValueError):
         block_entropy(w, 17)
-    with pytest.raises(ValueError):
-        block_entropy(DigitWord(2, (0,) * 40), 30)  # 2^30 blocks over limit
+    # block keys are int64: 2^63 blocks fit, 2^64 do not
+    zeros = DigitWord(2, (0,) * 70)
+    assert block_entropy(zeros, 63) == 0.0
+    with pytest.raises(ValueError, match="int64"):
+        block_entropy(zeros, 64)
 
 
 def test_block_entropy_matches_naive_oracle():
@@ -184,8 +187,17 @@ def test_streaming_extremal_counts():
 
 
 def test_counter_validation():
-    with pytest.raises(ValueError):
-        BlockCounter(2, 30)  # over the block-space limit
+    for base, l_max in ((1, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            BlockCounter(base, l_max)
+    # counts live in dicts of Python ints: no table of base^l slots, no int64 key
+    wide = DigitWord(32, tuple(range(32)) * 3)
+    counter = BlockCounter(32, 6)
+    counter.extend(wide.digits)
+    assert dict(counter.distribution(6).counts) == naive_counts(wide, 6)
+    counter = BlockCounter(2, 64)
+    counter.extend((0,) * 70)
+    assert counter.distribution(64).counts == {(0,) * 64: 7}
     counter = BlockCounter(2, 2)
     with pytest.raises(ValueError):
         counter.push(2)
@@ -276,8 +288,8 @@ def test_prefix_entropies_validation():
     digits = (0, 1, 1, 0, 1)
     with pytest.raises(ValueError):
         prefix_entropies(digits, 2, 0, [3])
-    with pytest.raises(ValueError):
-        prefix_entropies((0,) * 40, 2, 30, [35])  # 2^30 blocks over limit
+    with pytest.raises(ValueError, match="int64"):
+        prefix_entropies((0,) * 70, 2, 64, [70])  # 2^64 keys overflow int64
     with pytest.raises(ValueError):
         prefix_entropies(digits, 2, 3, [2, 5])  # prefix shorter than the block
     with pytest.raises(ValueError):
@@ -313,8 +325,10 @@ def test_entropy_profile_validation():
         entropy_profile(word, 2, [5, 100])
     with pytest.raises(ValueError):
         entropy_profile(word, 0, [5])
-    with pytest.raises(ValueError):
-        entropy_profile(word, 30, [5])  # 2^30 blocks over limit
+    # only the lengths a checkpoint reaches need int64 keys
+    assert entropy_profile(word, 64, [5]).entropy(5, 5) == 0.0
+    with pytest.raises(ValueError, match="int64"):
+        entropy_profile(DigitWord(2, (0,) * 70), 64, [70])
 
 
 def test_profile_csv_format():

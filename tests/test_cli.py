@@ -110,6 +110,17 @@ def test_analyze_profile_rows_golden(tmp_path, capsys, base, n, lmax, digest):
     assert hashlib.sha256(rows).hexdigest() == digest
 
 
+def test_analyze_reads_only_lengths_the_windows_can_fill(tmp_path, capsys):
+    # H_l at n digits is below 1 by counting alone while n - l + 1 < base^l
+    path = tmp_path / "six.txt"
+    path.write_text("base=4\n0 1 2 3 0 1\n")
+    assert main(["analyze", str(path), "--lmax", "9", "--out", str(tmp_path)]) == 0
+    assert "dimension estimate 0.959148 " in capsys.readouterr().out
+    path.write_text("base=4\n0 1 2\n")  # too short for even H_1 to reach 1
+    assert main(["analyze", str(path), "--lmax", "9", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: too few digits")
+
+
 def test_analyze_rejects_checkpoint_past_end(zeros_file, capsys):
     assert main(["analyze", zeros_file, "--checkpoints", "9999999"]) == 2
     capsys.readouterr()
@@ -162,7 +173,7 @@ def test_construct_rejects_inconsistent_plan(tmp_path, capsys):
         ("q 2 1/3\n", ["base 8", covered]),
         # stage 1 alone is fine, but its close-out looks ahead to base 3^2
         ("q 2 1/2\nq 3 1/2\n", ["base 9", covered]),
-        # base 2^5 has more length-6 blocks than the filter can track
+        # base 2^5: the filter takes it, but construct cannot be given a C_32
         ("q 2 1/5\n", ["base 32", covered]),
     ]
     for i, (text, messages) in enumerate(cases):
@@ -174,6 +185,32 @@ def test_construct_rejects_inconsistent_plan(tmp_path, capsys):
         err = capsys.readouterr().err
         assert all(message in err for message in messages), err
         assert not (out / "trace.csv").exists()
+
+
+TARGETS = ["1", "1/2", "1/3", "2/3", "1/4", "3/4"]
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in TARGETS for b in TARGETS],
+                         ids=lambda q: q.replace("/", "_"))
+def test_two_class_plans_run_or_exit_two_up_front(a, b, tmp_path, capsys):
+    # every plan the parser accepts either completes its stage with every
+    # non-vacuous requirement passed, or is refused before the first step
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"q 2 {a}\nq 3 {b}\n")
+    out = tmp_path / "run"
+    code = main(["construct", "--plan", str(plan), "--stages", "1", "--samples", "4",
+                 "--tolerance", "0.1", "--weyl-gamma", "0.8", "--min-digits", "300",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: "), err
+        assert not (out / "trace.csv").exists()
+        return
+    assert code == 0, err
+    summary = json.loads((out / "monitors.json").read_text())
+    verdicts = summary["requirements"]["1"]
+    assert any(not v["vacuous"] for v in verdicts)
+    assert all(v["passed"] or v["vacuous"] for v in verdicts), verdicts
 
 
 def test_construct_defaults_are_the_run_defaults():
@@ -260,7 +297,7 @@ def test_construct_usage_error_exits_two(capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "{quads}", "--checkpoints", "0,5"],
     ["analyze", "{quads}", "--lmax", "0"],
-    ["analyze", "{quads}", "--lmax", "20"],  # 4^20 blocks, over the limit
+    ["analyze", "{quads}", "--lmax", "32"],  # 4^32 block keys overflow int64
     ["calibrate", "--base", "2", "--samples", "5"],
     ["calibrate", "--base", "2", "--target", "1.5"],
     ["construct", "--plan", "{plan}", "--stages", "1", "--samples", "0"],
@@ -348,6 +385,15 @@ def test_calibrate_writes_config(tmp_path, capsys):
     params = DiscrepancyParams.read_config(out)
     printed = float(text.split("C_2 = ")[1].split()[0])
     assert params.c_for(2) == pytest.approx(printed, abs=1e-6)
+
+
+def test_calibrate_base_17_writes_a_readable_config(tmp_path, capsys):
+    # the filter counts blocks in dicts, so bases past 16 calibrate too
+    out = tmp_path / "disc.ini"
+    assert main(["calibrate", "--base", "17", "--samples", "20",
+                 "--length", "400", "--out", str(out)]) == 0
+    printed = float(capsys.readouterr().out.split("C_17 = ")[1].split()[0])
+    assert DiscrepancyParams.read_config(out).c_for(17) == pytest.approx(printed, abs=1e-6)
 
 
 def test_calibrate_out_naming_a_directory_exits_two(tmp_path, capsys):

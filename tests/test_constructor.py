@@ -28,7 +28,7 @@ from fsdim.constructor import (
     weyl_max_from_digits,
     write_trace_csv,
 )
-from fsdim.discrepancy import DiscrepancyParams, FilterGiveUp, low_discrepancy_test
+from fsdim.discrepancy import DiscrepancyParams, FilterGiveUp, calibrate, low_discrepancy_test
 from fsdim.expsum import a_m_naive, weyl_average
 from fsdim.schedule import ScaledGrowth, Schedule, StagePlan, TableGrowth, equivalent, parse_plan
 from trace_replay import replay_trace
@@ -853,16 +853,27 @@ def test_run_construction_rejects_unfiltered_bases_before_any_step(monkeypatch):
                          params=ConstructionParams(disc=disc))
 
 
-def test_run_construction_rejects_bases_past_the_block_space_limit(monkeypatch):
+def test_run_construction_takes_base_32_once_it_has_a_constant(monkeypatch):
     import fsdim.constructor as constructor
 
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran before the plan was checked")
 
     monkeypatch.setattr(constructor, "select_step", no_step)
-    # q = 1/5 puts stage 1 in base 32, and no filter constants can cover it:
-    # 32^6 blocks are more than the filter's counter tracks
+    # q = 1/5 puts stage 1 in base 32: refused without C_32, run with it
     with pytest.raises(ValueError, match="base 32"):
         run_construction(StagePlan({2: Fraction(1, 5)}), 1)
-    with pytest.raises(ValueError, match="tracking limit"):
-        ConstructionParams(disc=DiscrepancyParams.default().with_base(32, 0.8))
+    disc = DiscrepancyParams.default().with_base(32, 0.8)
+    with pytest.raises(AssertionError, match="before the plan"):
+        run_construction(StagePlan({2: Fraction(1, 5)}), 1,
+                         params=ConstructionParams(disc=disc))
+    # with a calibrated C_32 the stage completes and its requirements hold
+    monkeypatch.undo()
+    disc = DiscrepancyParams.default().with_base(32, calibrate(32, samples=40))
+    params = ConstructionParams(tolerance=0.1, weyl_gamma=0.8, min_digits=1000, samples=16,
+                                transition_margin=0.05, disc=disc)
+    trace = run_construction(StagePlan({2: Fraction(1, 5)}), 1, params)
+    assert trace.stage(1).v == 32 and not trace.budget_exhausted
+    verdicts = [v for v in check_requirements(trace, 1) if not v.vacuous]
+    assert {v.name for v in verdicts} == {"stage-target", "full-restore", "restore-floor"}
+    assert all(v.passed for v in verdicts), verdicts

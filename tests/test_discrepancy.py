@@ -209,12 +209,12 @@ def test_missing_base_is_an_error():
     params = DiscrepancyParams({2: 1.0})
     with pytest.raises(ValueError):
         params.c_for(7)
-    # only bases whose length-6 blocks outgrow the counter are told no constant can help
-    limit = "exceed the tracking limit 16777216"
+    # a base of any size is only told which constants exist
     for base in (8, 17, 32):
-        with pytest.raises(ValueError, match="constants exist for bases 2") as info:
+        with pytest.raises(ValueError) as info:
             params.c_for(base)
-        assert (limit in str(info.value)) == (base > 16), str(info.value)
+        assert str(info.value) == (
+            f"no filter constant C for base {base} (constants exist for bases 2)")
 
 
 @pytest.mark.parametrize("base, c", [
@@ -245,14 +245,33 @@ def test_read_config_errors_name_the_file(body, message, tmp_path):
 
 
 @pytest.mark.parametrize("base", [17, 25, 32])
-def test_bases_past_the_block_space_limit_are_refused(base, tmp_path):
-    # 16^6 blocks still fit the counter; 17^6 and up would make
-    # sample_good_string fail at its first word longer than DEFAULT_N + 5
-    DiscrepancyParams({16: 0.8})
+def test_bases_of_17_and_up_are_accepted(base, tmp_path):
+    # the filter's counter keeps its counts in dicts, so no alphabet is too large
     path = tmp_path / "filter.cfg"
     path.write_text(f"[discrepancy]\nC_{base} = 0.8\n")
     for make in (lambda: DiscrepancyParams({base: 0.8}),
                  lambda: DiscrepancyParams.default().with_base(base, 0.8),
                  lambda: DiscrepancyParams.read_config(path)):
-        with pytest.raises(ValueError, match=f"{base}\\^6 blocks exceed the tracking limit 16777216"):
-            make()
+        assert make().c_for(base) == 0.8
+    # a word long enough for every 6-block check has its statistic as pass boundary
+    rng = random.Random(base)
+    word = DigitWord(base, tuple(rng.randrange(base) for _ in range(400)))
+    stat = discrepancy_statistic(word)
+    assert not low_discrepancy_test(word, DiscrepancyParams({base: stat * 0.999}))
+    assert low_discrepancy_test(word, DiscrepancyParams({base: stat * 1.001}))
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"C_2 = 1\n", "no section headers"),
+    (b"[discrepancy]\nC_2 = 1\nC_2 = 2\n", "option 'C_2' in section 'discrepancy' already exists"),
+    (b"[discrepancy]\nC_2 = 1\n[discrepancy]\nC_3 = 1\n", "section 'discrepancy' already exists"),
+    (b"[discrepancy]\nC_2 = 1\xff\n", "can't decode byte 0xff"),
+], ids=["no-header", "repeated-key", "repeated-section", "not-utf8"])
+def test_read_config_parse_errors_name_the_file(body, message, tmp_path):
+    # configparser's own errors and undecodable bytes are ValueErrors under the path
+    path = tmp_path / "filter.cfg"
+    path.write_bytes(body)
+    with pytest.raises(ValueError) as info:
+        DiscrepancyParams.read_config(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)

@@ -1,10 +1,12 @@
 """The export surface: every exported name resolves, so star imports work,
-no module imports a name it never uses, and every private module-level
-name is read somewhere in the package."""
+no module imports a name it never uses, every private module-level name
+is read somewhere in the package, and the constants the README quotes
+are the code's."""
 
 import ast
 import importlib
 import pkgutil
+import re
 import types
 from pathlib import Path
 
@@ -115,3 +117,14 @@ def test_private_attributes_are_read():
     assert stored
     unread = sorted((stem, name) for stem, name in stored if name not in loaded)
     assert not unread, f"private attributes no src/fsdim code reads: {unread}"
+
+
+def test_readme_constants_match_the_code():
+    # every `NAME = <int>` the README quotes is that fsdim module constant
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    quoted = re.findall(r"`([A-Z][A-Z0-9_]*) = (\d+)`", readme)
+    assert quoted
+    modules = [importlib.import_module(name) for name in SUBMODULES]
+    for name, value in quoted:
+        found = {getattr(m, name) for m in modules if hasattr(m, name)}
+        assert found == {int(value)}, f"README says {name} = {value}; fsdim has {found}"
