@@ -129,6 +129,11 @@ def digits_prefix(x: Rational, base: int, n: int) -> DigitWord:
         raise ValueError(f"base must be at least 2, got {base}")
     if n < 0:
         raise ValueError(f"prefix length must be nonnegative, got {n}")
+    return DigitWord(base, tuple(_expansion(f.numerator, f.denominator, base, n)[0]))
+
+
+def _expansion(num: int, den: int, base: int, n: int) -> tuple[list[int], int]:
+    """digits_prefix's digits of num/den (0 <= num < den), and num * base**n mod den."""
     powers = [base]  # powers[k] = base**(2**k), for every 2**k < n
     while 1 << len(powers) < n:
         powers.append(powers[-1] * powers[-1])
@@ -147,8 +152,9 @@ def digits_prefix(x: Rational, base: int, n: int) -> DigitWord:
         convert(high, width - (1 << k))
         convert(low, 1 << k)
 
-    convert(f.numerator * base**n // f.denominator, n)
-    return DigitWord(base, tuple(digits))
+    quotient, remainder = divmod(num * base**n, den)
+    convert(quotient, n)
+    return digits, remainder
 
 
 RESIDUE_CHUNK = 1 << 14

@@ -201,16 +201,29 @@ def prefix_entropies(
     arr = np.asarray(digits[:hi], dtype=np.int64)
     if arr.min() < 0 or arr.max() >= base:
         raise ValueError(f"digits out of range for base {base}")
+    return _prefix_entropies(arr, base, l, ends, np.zeros(1))[0]
+
+
+def _prefix_entropies(
+    arr: np.ndarray, base: int, l: int, ends: np.ndarray, inc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """prefix_entropies of checked digits, and the increment table it read.
+
+    inc[c] = (c+1)ln(c+1) - c ln c; a table too short for the ranks of
+    this l is rebuilt to their maximum, and a longer one is read as is.
+    """
     ranks = _occurrence_ranks(_packed_key_array(arr, base, l))
-    # math.log, not np.log, for the reason given in _entropy_from_sums
     top = int(ranks.max())
-    ln = np.fromiter(map(math.log, range(1, top + 2)), np.float64, top + 1)  # ln c at c-1
-    c = np.arange(1, top + 1, dtype=np.float64)
-    sums = np.concatenate(([0.0], (c + 1) * ln[1:] - c * ln[:-1]))[ranks]
+    if top >= inc.size:
+        # math.log, not np.log, for the reason given in _entropy_from_sums
+        ln = np.fromiter(map(math.log, range(1, top + 2)), np.float64, top + 1)  # ln c at c-1
+        c = np.arange(1, top + 1, dtype=np.float64)
+        inc = np.concatenate(([0.0], (c + 1) * ln[1:] - c * ln[:-1]))
+    sums = inc[ranks]
     del ranks  # summed in place: one window-sized array at a time
     np.cumsum(sums, out=sums)
     totals = ends - l + 1
-    return _entropy_from_sums(sums[totals - 1], totals, l, base)
+    return _entropy_from_sums(sums[totals - 1], totals, l, base), inc
 
 
 def _occurrence_ranks(keys: np.ndarray) -> np.ndarray:
@@ -276,9 +289,12 @@ def entropy_profile(w: DigitWord, l_max: int, checkpoints: Sequence[int]) -> Ent
     _check_key_range(w.base, min(l_max, cps[-1]))
     arr = np.asarray(w.digits[: cps[-1]], dtype=np.int64)
     table: dict[tuple[int, int], float] = {}
+    # occurrence ranks only fall as l grows, so the table built at l = 1 serves every l
+    inc = np.zeros(1)
     for l in range(1, min(l_max, cps[-1]) + 1):
         ends = [n for n in cps if n >= l]
-        for n, h in zip(ends, prefix_entropies(arr, w.base, l, ends).tolist()):
+        entropies, inc = _prefix_entropies(arr, w.base, l, np.array(ends, dtype=np.int64), inc)
+        for n, h in zip(ends, entropies.tolist()):
             table[(l, n)] = h
     return EntropyProfile(w.base, l_max, tuple(cps), table)
 

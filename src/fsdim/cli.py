@@ -91,13 +91,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if checkpoints[-1] > len(word):
         return _fail(
             f"checkpoint {checkpoints[-1]} beyond file length {len(word)}", 2)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    stem = os.path.splitext(os.path.basename(args.digit_file))[0]
+    # every base is read before any file is written, so a failing one leaves none
+    results = []
     for base in bases:
         reread = word if base == word.base else DigitWord(base, word.digits)
         profile = entropy_profile(reread, args.lmax, checkpoints)
-        estimate = dimension_estimate(profile)
+        results.append((base, profile, dimension_estimate(profile)))
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
+    stem = os.path.splitext(os.path.basename(args.digit_file))[0]
+    for base, profile, estimate in results:
         header = (
             f"# fsdim analyze {args.digit_file} base={base} lmax={args.lmax}"
             f" checkpoints={','.join(str(c) for c in checkpoints)}\n"

@@ -154,10 +154,15 @@ def sigma_element_at(
         raise ValueError(f"block length {len(block)} != {width} open positions")
     if block.base > base:
         raise ValueError(f"alphabet {block.base} exceeds ambient base {base}")
+    return _candidate(eta_g_at(lam, base, a_pos), base ** (b_pos - 2), block, base)
+
+
+def _candidate(eta: Fraction, scale: int, block: DigitWord, base: int) -> Fraction:
+    # eta plus the block read as a base-``base`` integer over scale
     h = 0
     for d in block.digits:
         h = h * base + d
-    value = eta_g_at(lam, base, a_pos) + Fraction(h, base ** (b_pos - 2))
+    value = eta + Fraction(h, scale)
     if value >= 1:
         raise ValueError("candidate point left the unit interval")
     return value
@@ -230,6 +235,8 @@ def select_step(
     # the objective is identically zero while every scheduled base is
     # equivalent, so those draws score 0.0 without forming a point
     trivial = all(equivalent(sched.base(h), u) for h in range(1, m + 1))
+    if not trivial:  # shared by every draw of the step
+        eta, scale = eta_g_at(lam, u, a_pos), u ** (b_pos - 2)
 
     best = None  # ((objective, digits), word)
     total_obj = 0.0
@@ -237,8 +244,7 @@ def select_step(
         # one independent stream per candidate slot: reruns are identical
         # no matter how many rejection attempts each slot needs
         word = sample_good_string(alphabet, width, f"{params.seed}:{m}:{i}", params.disc)
-        obj = 0.0 if trivial else a_m(
-            sigma_element_at(lam, u, a_pos, b_pos, word), m, sched, params.t_cap)
+        obj = 0.0 if trivial else a_m(_candidate(eta, scale, word, u), m, sched, params.t_cap)
         total_obj += obj
         key = (obj, word.digits)
         if best is None or key < best[0]:

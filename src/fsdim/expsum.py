@@ -1,16 +1,19 @@
 """Exponential sums over digit orbits.
 
 Everything here feeds on the orbit t * b**(j-1) * x mod 1.  For an
-exact point x, _orbit_phases reduces the orbit exactly (one big-integer
-mulmod per j) and rounds each phase once, so each term is within
-2*pi*|t|*2**-52 of exact, plus the rounding of exp.
-weyl_max_from_digits instead reads each phase off a window of the
-point's leading digits.  Either way _phase_sum forms sum_j e(t * phase_j)
-in one numpy pass per t.  The module provides Weyl prefix averages, the
-step objective A_m that the construction minimizes with its exact
-oracle a_m_naive, the sine ratio of good-sequence condition 1, the
-all-cosines constant eta = 2/pi, and a certificate turning small Weyl
-averages into a digit-uniformity guarantee.
+exact point x = num/den, _orbit_phases gives every phase correctly
+rounded, so each term is within 2*pi*|t|*2**-52 of exact, plus the
+rounding of exp.  It reads the phases off windows of digits that one
+long division per orbit gives, and reduces a phase's residue exactly
+(a big-integer mulmod) only where its window cannot decide the
+rounding.  weyl_max_from_digits sums
+float windows of a digit word instead, to float accuracy.  Either way
+_phase_sum forms sum_j e(t * phase_j) in one numpy pass per t.  The
+module provides Weyl prefix averages, the step objective A_m that the
+construction minimizes with its exact oracle a_m_naive, the sine ratio
+of good-sequence condition 1, the all-cosines constant eta = 2/pi, and
+a certificate turning small Weyl averages into a digit-uniformity
+guarantee.
 
 For x = k/D with small D, weyl_report reads its averages off one DFT
 instead: the orbit of k is k times the orbit of 1 mod D, so
@@ -30,7 +33,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .base_arith import frac_of_scaled, orbit_residues
+from .base_arith import _expansion, frac_of_scaled, orbit_residues
 from .schedule import Schedule, equivalent
 
 __all__ = [
@@ -70,13 +73,61 @@ def _reduced(x: Real) -> Fraction:
     return f - (f.numerator // f.denominator)
 
 
+# a phase is read off a window of the least K digits with base**K >= 2**_WINDOW_BITS
+_WINDOW_BITS = 80
+# phases per long division: the radix conversion of a block costs about
+# its length**1.6, so long orbits go block by block
+_PHASE_BLOCK = 4096
+
+
 def _orbit_phases(num: int, den: int, b: int, j0: int, n: int) -> np.ndarray:
-    """frac(num * b**(j-1) / den) for j = j0 .. j0+n-1, correctly rounded."""
-    phases = np.empty(n)
+    """frac(num * b**(j-1) / den) for j = j0 .. j0+n-1, correctly rounded.
+
+    With r = num * b**(j0-1) mod den, phase i (from 0) is r * b**i / den
+    mod 1, whose base-b digits are those of r/den from position i+1 on.
+    One long division gives the first n+K-1 of those digits, and the
+    K-digit window W starting at position i+1 puts the phase in
+    [W/b**K, (W+1)/b**K).  Rounding is monotone, so where both ends round
+    to the same float that float is the phase.  Only where they round
+    apart (a near-tie, or a phase below about 2**-27) is the phase formed
+    exactly, as (r * b**i mod den) / den from the last exact residue.  A
+    zero remainder means the expansion terminates, and every phase past
+    its last nonzero digit is 0.  Orbits longer than _PHASE_BLOCK go one
+    block of phases at a time.
+    """
+    phases = np.zeros(n)
+    k = 1
+    while b**k < 1 << _WINDOW_BITS:
+        k += 1
+    scale = b**k
     r = num * pow(b, j0 - 1, den) % den
-    for i in range(n):
-        phases[i] = r / den
-        r = r * b % den
+    for start in range(0, n, _PHASE_BLOCK):
+        if r == 0:
+            break  # so is every later phase
+        size = min(_PHASE_BLOCK, n - start)
+        digits, remainder = _expansion(r, den, b, size + k - 1)
+        stop = size
+        if remainder == 0:
+            stop = min(size, next((i + 1 for i in range(len(digits) - 1, -1, -1) if digits[i]), 0))
+        w = 0
+        for d in digits[: k - 1]:
+            w = w * b + d
+        block = []
+        at, residue = 0, r  # residue = r * b**at mod den
+        for i in range(stop):
+            w = (w * b + digits[i + k - 1]) % scale
+            phase = w / scale
+            if (w + 1) / scale != phase:
+                residue = residue * pow(b, i - at, den) % den
+                at = i
+                phase = residue / den
+            block.append(phase)
+        phases[start : start + stop] = block
+        # r * b**size = q * den + (the last k-1 digits * den + remainder) / b**(k-1)
+        tail = 0
+        for d in digits[size:]:
+            tail = tail * b + d
+        r = (tail * den + remainder) // (scale // b)
     return phases
 
 

@@ -121,6 +121,16 @@ def test_analyze_reads_only_lengths_the_windows_can_fill(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: too few digits")
 
 
+def test_analyze_failing_base_writes_no_profile(tmp_path, capsys):
+    # base 16 needs 16 windows for H_1; base 4, read first, must not be written either
+    path = tmp_path / "ten.txt"
+    path.write_text("base=4\n0 1 2 3 0 1 2 3 0 1\n")
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--base", "4", "--base", "16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: too few digits")
+    assert not list(tmp_path.rglob("*_profile_base4.csv"))
+
+
 def test_analyze_rejects_checkpoint_past_end(zeros_file, capsys):
     assert main(["analyze", zeros_file, "--checkpoints", "9999999"]) == 2
     capsys.readouterr()

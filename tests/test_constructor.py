@@ -300,16 +300,18 @@ def _count_calls(monkeypatch, *names):
 def test_select_step_trivial_step_computes_one_point(monkeypatch):
     # a single-class step scores every draw 0.0: no objective call and no
     # candidate point
-    calls = _count_calls(monkeypatch, "a_m", "sigma_element_at")
+    names = ("a_m", "eta_g_at", "_candidate", "sigma_element_at")
+    calls = _count_calls(monkeypatch, *names)
     sched = Schedule((4, 4), TableGrowth((3, 8, 13)))
     select_step(Fraction(1, 9), 2, sched, 2, ConstructionParams(samples=16, seed=0))
-    assert calls == {"a_m": 0, "sigma_element_at": 0}
+    assert calls == dict.fromkeys(names, 0)
 
-    # a scored step forms one point and one objective per draw
-    calls.update(a_m=0, sigma_element_at=0)
+    # a scored step rounds to the grid once, then forms one point and one
+    # objective per draw
+    calls.update(dict.fromkeys(names, 0))
     select_step(Fraction(1, 5), 2, _tiny_two_base_schedule(), 2,
                 ConstructionParams(samples=16, seed=0))
-    assert calls == {"a_m": 16, "sigma_element_at": 16}
+    assert calls == {"a_m": 16, "eta_g_at": 1, "_candidate": 16, "sigma_element_at": 0}
 
 
 def test_select_step_criterion_one_uses_restricted_alphabet(monkeypatch):
@@ -574,14 +576,19 @@ def test_multi_stage_run_completes(three_stage_trace):
 
 def test_run_forms_one_point_per_step_plus_one_per_scored_draw(monkeypatch):
     # stage 2 (base 3) is scored against base 4; stage 1 steps are trivial
-    calls = _count_calls(monkeypatch, "a_m", "sigma_element_at")
+    calls = _count_calls(monkeypatch, "a_m", "eta_g_at", "_candidate", "sigma_element_at")
     plan = StagePlan({2: Fraction(1, 2), 3: Fraction(1)}, growth=ScaledGrowth(8, 4))
     params = _fast_params(transition_margin=0.05, t_cap=3, samples=4, seed=1)
     steps = run_construction(plan, 2, params).steps
-    scored = sum(s.candidates_examined for i, s in enumerate(steps)
-                 if not all(equivalent(p.u, s.u) for p in steps[:i + 1]))
+    scored_steps = [s for i, s in enumerate(steps)
+                    if not all(equivalent(p.u, s.u) for p in steps[:i + 1])]
+    scored = sum(s.candidates_examined for s in scored_steps)
     assert scored > 0
-    assert calls == {"a_m": scored, "sigma_element_at": len(steps) + scored}
+    # eta_g_at: once per stage for its carried-over digits, once per step
+    # for its point, and once per scored step for all of its draws
+    stages = len({s.k for s in steps})
+    assert calls == {"a_m": scored, "eta_g_at": stages + len(steps) + len(scored_steps),
+                     "_candidate": len(steps) + scored, "sigma_element_at": len(steps)}
 
 
 def test_multi_stage_alphabets_follow_plan(three_stage_trace):

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from fsdim.expsum import (
     _FFT_DENOMINATOR_LIMIT,
+    _PHASE_BLOCK,
     _averages_fft,
+    _orbit_phases,
     _orbit_spectrum,
     a_m,
     a_m_naive,
@@ -39,6 +41,79 @@ def _oracle_weyl(x, b, t, n):
         arg = (Fraction(t) * b ** (j - 1) * f) % 1
         total += cmath.exp(2j * cmath.pi * float(arg))
     return total / n
+
+
+def _chain_phases(num, den, b, j0, n):
+    # one big-integer mulmod per phase, each phase rounded once
+    phases = np.empty(n)
+    r = num * pow(b, j0 - 1, den) % den
+    for i in range(n):
+        phases[i] = r / den
+        r = r * b % den
+    return phases
+
+
+# --- orbit phases --------------------------------------------------------------
+
+
+def test_orbit_phases_match_the_chain():
+    import random
+
+    rng = random.Random(16)
+    for b in range(2, 7):
+        for bits in (10, 100, 1000, 10_000, 100_000):
+            den = rng.getrandbits(bits) | 1 << (bits - 1)
+            num = rng.randrange(den)
+            j0 = rng.randrange(2, 3 * bits)
+            n = 300 if bits == 100_000 else 1000
+            got = _orbit_phases(num, den, b, j0, n)
+            assert np.array_equal(got, _chain_phases(num, den, b, j0, n))
+    # blocks of _PHASE_BLOCK phases hand their residue on exactly
+    den = rng.getrandbits(500)
+    num = rng.randrange(den)
+    n = 2 * _PHASE_BLOCK + 7
+    assert np.array_equal(_orbit_phases(num, den, 3, 5, n), _chain_phases(num, den, 3, 5, n))
+    # x = 0
+    assert np.array_equal(_orbit_phases(0, 1, 3, 1, 50), np.zeros(50))
+    # a long zero run: phases far below 2**-27 are formed exactly one by one
+    den = 4**300 * 3**400
+    assert np.array_equal(_orbit_phases(5, den, 3, 1, 600), _chain_phases(5, den, 3, 1, 600))
+
+
+def test_orbit_phases_of_terminating_expansions():
+    # den divides a power of b: the expansion ends and the rest of the orbit is 0
+    cases = [(1, 4, 2, 1, 10), (1, 4, 2, 1, _PHASE_BLOCK + 10), (3, 16, 6, 1, 40),
+             (7, 4**50, 6, 1, 200), (7, 4**50, 6, 60, 60),
+             (2**99 + 1, 4**50 * 3**40, 6, 3, 200)]
+    for num, den, b, j0, n in cases:
+        phases = _orbit_phases(num, den, b, j0, n)
+        assert np.array_equal(phases, _chain_phases(num, den, b, j0, n))
+        assert phases[-1] == 0.0
+
+
+def test_orbit_phases_at_near_ties():
+    # the 80-bit window of x = 1/2 + 2**-54 + 1/(3 * 2**100) is the tie
+    # 1/2 + 2**-54, which rounds to even (0.5); x itself rounds up
+    x = Fraction(1, 2) + Fraction(1, 2**54) + Fraction(1, 3 * 2**100)
+    assert float(Fraction(x.numerator * 2**80 // x.denominator, 2**80)) == 0.5
+    phases = _orbit_phases(x.numerator, x.denominator, 2, 1, 120)
+    assert phases[0] == float.fromhex("0x1.0000000000001p-1")
+    assert np.array_equal(phases, _chain_phases(x.numerator, x.denominator, 2, 1, 120))
+    # phase i of (c + m + delta) / b**i is m + delta, for m the midpoint
+    # above a float: exact ties, and offsets the windows cannot see
+    import random
+
+    rng = random.Random(7)
+    for b in (2, 3, 5, 6):
+        for delta in (0, Fraction(1, 3 * 2**120), -Fraction(1, 3 * 2**120)):
+            f = rng.random()
+            mid = Fraction(f) + Fraction(1, 2 ** (54 - math.frexp(f)[1]))
+            i = rng.randrange(1, 20)
+            x = (rng.randrange(b**i) + mid + delta) / b**i
+            num, den = x.numerator, x.denominator
+            phases = _orbit_phases(num, den, b, 1, 40)
+            assert phases[i] == float(mid + delta)
+            assert np.array_equal(phases, _chain_phases(num, den, b, 1, 40))
 
 
 # --- e_of and weyl_average ---------------------------------------------------
