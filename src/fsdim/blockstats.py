@@ -299,15 +299,13 @@ def entropy_profile(w: DigitWord, l_max: int, checkpoints: Sequence[int]) -> Ent
     return EntropyProfile(w.base, l_max, tuple(cps), table)
 
 
-def dimension_estimate(profile: EntropyProfile, tail_fraction: float = 0.5) -> float:
+def dimension_estimate(profile: EntropyProfile) -> float:
     """Finite-data estimate of inf_l liminf_n H_l: min over l of the minimum
-    entropy over the trailing ``tail_fraction`` of checkpoints, read only where
-    n - l + 1 windows can hold all base^l blocks (elsewhere H_l < 1 by counting)."""
-    if not 0 < tail_fraction <= 1:
-        raise ValueError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
+    entropy over the last half of the checkpoints (the middle one too when
+    their count is odd), read only where n - l + 1 windows can hold all
+    base^l blocks (elsewhere H_l < 1 by counting)."""
     cps = profile.checkpoints
-    start = min(len(cps) - 1, math.floor((1 - tail_fraction) * len(cps)))
-    tail = cps[start:]
+    tail = cps[len(cps) // 2:]
     values = [
         profile.table[(l, n)]
         for l in range(1, profile.l_max + 1)

@@ -16,12 +16,11 @@ import math
 import os
 import random
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .base_arith import DigitWord, orbit_residues, read_digit_file, write_digit_file
+from .base_arith import DigitWord, digits_prefix, read_digit_file, write_digit_file
 from .base_arith import atomic_write_text as _atomic_text
 from .blockstats import dimension_estimate, entropy_profile
 from .constructor import (
@@ -141,11 +140,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except FilterGiveUp as exc:
         return _fail(f"candidate search failed: {exc}", 2)
 
-    config = (
-        f"fsdim construct plan={args.plan} stages={args.stages} mode={args.mode}"
-        f" samples={args.samples} seed={args.seed} tolerance={args.tolerance}"
-        f" min_digits={args.min_digits} budget={args.budget}"
-    )
+    settings = " ".join(f"{f.name}={getattr(params, f.name)}"
+                        for f in fields(params) if f.name != "disc")
+    config = f"fsdim construct plan={args.plan} stages={args.stages} mode={args.mode} {settings}"
     write_trace_csv(trace, os.path.join(args.out, "trace.csv"), comment=config)
 
     requirements = {}
@@ -234,22 +231,14 @@ def _suite_weyl_certificate() -> list[tuple[str, bool, str]]:
     checks.append(("certificate-passes-prime-orbit", ok,
                    f"D={d} T'={certificate_t_range(eps)} max|avg|={peak:.3e}"))
     if ok:
-        digits = _orbit_digit_counts(1, d, 2, d - 1)
-        dev = max(abs(c / (d - 1) - 0.5) for c in digits)
+        digits = digits_prefix(Fraction(1, d), 2, d - 1).digits
+        dev = max(abs(digits.count(z) / (d - 1) - 0.5) for z in (0, 1))
         checks.append(("digit-frequencies-within-eps", dev <= eps,
                        f"max |P(z) - 1/2| = {dev:.3e}"))
     # a short purely periodic point correlates perfectly with some t
     bad_ok, _ = weyl_entropy_certificate(Fraction(1, 3), 2, eps, 4096)
     checks.append(("certificate-rejects-periodic", not bad_ok, "x = 1/3 in base 2"))
     return checks
-
-
-def _orbit_digit_counts(num: int, den: int, base: int, n: int) -> list[int]:
-    # digit j of num/den is floor(base * r_j / den) for the orbit residues r_j
-    counts = np.zeros(base, dtype=np.int64)
-    for residues in orbit_residues(num, den, base, n):
-        counts += np.bincount(residues * base // den, minlength=base)
-    return counts.tolist()
 
 
 # suite name -> check runner, called with the --seed value
@@ -334,7 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=run.samples, help="candidates per step")
     p.add_argument("--seed", default="0")
     p.add_argument("--tolerance", type=float, default=run.tolerance,
-                   help="entropy tolerance override for desk-scale runs")
+                   help="threshold of every entropy close-out and requirement"
+                        " (stands in for the paper's 2^-k values)")
     p.add_argument("--min-digits", type=int, default=run.min_digits,
                    help="digits each substage must fix before closing")
     p.add_argument("--budget", type=int, default=run.step_budget, help="steps per substage")

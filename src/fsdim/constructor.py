@@ -23,12 +23,12 @@ keeps that point and each step's block, once: the point after step m
 is the final point truncated after b_m - 2 base-u(m) digits.
 
 Thresholds: the asymptotic analysis uses 2^-k style tolerances and
-nonconstructive transition constants.  Desk runs replace the former
-with ConstructionParams.tolerance (set it to None for the literal
-2^-k values) and the latter with ConstructionParams.transition_l, one
-constant for both substage close-outs.  Entropies are read for block
-lengths up to min(k, L_CAP) and the in-run Weyl check covers
-frequencies 1..WEYL_T_RANGE.  ConstructionParams is the only
+nonconstructive transition constants.  Runs replace the former with
+ConstructionParams.tolerance, one threshold for every entropy
+close-out and requirement, and the latter with
+ConstructionParams.transition_l, one constant for both substage
+close-outs.  Entropies are read for block lengths up to min(k, L_CAP)
+and the in-run Weyl check covers frequencies 1..WEYL_T_RANGE.  ConstructionParams is the only
 configuration a run takes: search, filter constants and thresholds.
 """
 
@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -200,15 +201,15 @@ def select_step(
     lam: Rational,
     m: int,
     sched: Schedule,
-    criterion: int,
+    substage: int,
+    alphabet: int,
     params: ConstructionParams,
-    plan: Optional[StagePlan] = None,
 ) -> StepChoice:
     """Pick the step-m block minimizing the cross-base objective.
 
-    criterion 1 draws blocks over the restricted alphabet p(u(m))
-    (``plan`` supplies it), criterion 2 over the full alphabet u(m); the
-    choice records the criterion as its substage.  Each of
+    Blocks are drawn over digits 0 .. alphabet-1: the run passes the
+    restricted alphabet v*(k) in substage 1 and the full base v(k) in
+    substage 2, and the choice records substage.  Each of
     params.samples candidates is drawn by sample_good_string, so
     candidates no longer than the filter threshold DEFAULT_N pass
     vacuously; a slot none of whose draws passes raises FilterGiveUp.
@@ -216,19 +217,11 @@ def select_step(
     so reruns are reproducible.  The point after the step is
     sigma_element_at(lam, u(m), a_m, b_m, choice.digit_block).
     """
-    if criterion not in (1, 2):
-        raise ValueError(f"criterion must be 1 or 2, got {criterion}")
     u = sched.base(m)
     a_pos, b_pos = sched.a(m), sched.b(m)
     width = b_pos - a_pos - 2
     if width < 1:
         raise ValueError(f"step {m} opens no digit positions")
-    if criterion == 2:
-        alphabet = u
-    elif plan is None:
-        raise ValueError("criterion 1 needs a plan for the restricted alphabet")
-    else:
-        alphabet = plan.p_of(u)
     if not 2 <= alphabet <= u:
         raise ValueError(f"alphabet {alphabet} unusable in base {u}")
 
@@ -251,7 +244,7 @@ def select_step(
             best = (key, word)
     (best_obj, _), best_word = best
     return StepChoice(
-        m=m, substage=criterion, u=u, a_m=a_pos, b_m=b_pos, digit_block=best_word,
+        m=m, substage=substage, u=u, a_m=a_pos, b_m=b_pos, digit_block=best_word,
         objective=best_obj, objective_mean=total_obj / params.samples,
         candidates_examined=params.samples,
     )
@@ -272,10 +265,10 @@ class ConstructionParams:
     """The one configuration of a construction run.
 
     Each step draws samples candidate blocks, seeded per step and slot
-    from seed, so reruns are identical.  tolerance replaces every 2^-k
-    style entropy threshold when set; None keeps the literal values
-    (they are vacuous for small k and unattainably tight for large k,
-    hence the override).  transition_l stands in for the
+    from seed, so reruns are identical.  tolerance is the threshold of
+    every entropy close-out and requirement; it stands in for the
+    paper's 2^-k style values, which are vacuous for small k and
+    unattainably tight for large k.  transition_l stands in for the
     nonconstructive block-length constants of both substage close-out
     inequalities.  min_digits forces each substage to keep going until
     it has fixed that many digits, which is how runs are sized;
@@ -291,7 +284,7 @@ class ConstructionParams:
     disc holds the filter constants of every base the run reaches.
     """
 
-    tolerance: Optional[float] = 0.1
+    tolerance: float = 0.1
     transition_l: float = 4.0
     transition_margin: float = 0.0
     weyl_gamma: float = 0.05
@@ -307,12 +300,12 @@ class ConstructionParams:
             raise ValueError(f"samples must be positive, got {self.samples}")
         for name in ("tolerance", "transition_l", "transition_margin", "weyl_gamma"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.transition_l < 0:
             raise ValueError(f"transition_l must be nonnegative, got {self.transition_l}")
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive or None, got {self.tolerance}")
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if not self.weyl_gamma > 0:
             raise ValueError(f"weyl_gamma must be positive, got {self.weyl_gamma}")
         if self.step_budget < 1:
@@ -324,9 +317,6 @@ class ConstructionParams:
                 f"transition_margin must be nonnegative, got {self.transition_margin}")
         if self.min_digits < 0:
             raise ValueError(f"min_digits must be nonnegative, got {self.min_digits}")
-
-    def entropy_tolerance(self, fallback: float) -> float:
-        return self.tolerance if self.tolerance is not None else fallback
 
 
 @dataclass(frozen=True)
@@ -463,7 +453,7 @@ def first_substage_done(
     def conditions() -> Iterator[ConditionVerdict]:
         yield from _transition_gates(
             k, m, sched, params, digits_fixed, (delta_k(eps, v, l_hi), eps))
-        tol = params.entropy_tolerance(eps)
+        tol = params.tolerance
         target = float(plan.q_for(v))
         dev = _prefix_deviation(digits, v, l_hi, target, len(digits))
         yield ConditionVerdict(
@@ -508,7 +498,7 @@ def second_substage_done(
             k, m, sched, params, digits_fixed, margins,
             "" if w is not None else "next stage base unknown")
 
-        tol = params.entropy_tolerance(2.0 ** -(k + 1))
+        tol = params.tolerance
         dev = _prefix_deviation(digits, v, l_hi, 1.0, len(digits))
         yield ConditionVerdict(
             name="entropy-at-one", passed=dev <= tol, measured=dev, threshold=tol,
@@ -542,11 +532,10 @@ def second_substage_done(
             )
         else:
             n_w = angle_base(plan.growth.angle(m + 1), w)
-            tol_w = params.entropy_tolerance(eps)
             dev_w = _point_deviation(xi, w, l_hi, 1.0, n_w, n_w)
             yield ConditionVerdict(
-                name="next-base-entropy", passed=dev_w <= tol_w, measured=dev_w,
-                threshold=tol_w, detail=f"base {w} prefix {n_w}",
+                name="next-base-entropy", passed=dev_w <= tol, measured=dev_w,
+                threshold=tol, detail=f"base {w} prefix {n_w}",
             )
 
     return _close_out(k, m, 2, conditions())
@@ -658,7 +647,7 @@ def run_construction(
         substage_start = 0  # stage-local digit count when the substage opened
         p1 = None
         first_check = second_check = None
-        for substage in (1, 2):
+        for substage, alphabet in ((1, v_star), (2, v)):
             taken = 0
             while True:
                 m += 1
@@ -670,7 +659,7 @@ def run_construction(
                     eta0 = eta_g_at(xi, v, sched.a(m))
                     stage_digits.extend(digits_prefix(eta0, v, sched.a(m)).digits)
                     substage_start = len(stage_digits)
-                choice = select_step(xi, m, sched, substage, params, plan)
+                choice = select_step(xi, m, sched, substage, alphabet, params)
                 point = sigma_element_at(xi, v, sched.a(m), sched.b(m), choice.digit_block)
                 if point < xi:
                     raise AssertionError(f"step {m} moved the point backwards")
@@ -768,24 +757,23 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
     v = sb.v
     q = float(plan.q_for(v))
     l_hi = min(k, L_CAP)
-    tol = params.entropy_tolerance
+    tol = params.tolerance
     f1, f2 = trace.first_checkpoint(k), trace.second_checkpoint(k)
     word = digits_prefix(trace.xi, v, f2)
 
-    def verdict(name, detail, dev=None, threshold=0.0, l=l_hi) -> RequirementVerdict:
+    def verdict(name, detail, dev=None, l=l_hi) -> RequirementVerdict:
         # dev None marks a requirement whose trigger condition is absent
         if dev is None:
             return RequirementVerdict(name, k, l, 0.0, 0.0, True, vacuous=True, detail=detail)
-        return RequirementVerdict(name, k, l, dev, threshold, dev <= threshold, detail=detail)
+        return RequirementVerdict(name, k, l, dev, tol, dev <= tol, detail=detail)
 
     out = [
         verdict("stage-target", f"|H_l - {q:.6g}| at prefix {f1}",
-                _prefix_deviation(word.digits[:f1], v, l_hi, q, f1), tol(2.0**-k)),
+                _prefix_deviation(word.digits[:f1], v, l_hi, q, f1)),
         verdict("full-restore", f"|H_l - 1| at prefix {f2}",
-                _prefix_deviation(word.digits, v, l_hi, 1.0, f2), tol(2.0 ** -(k + 1))),
+                _prefix_deviation(word.digits, v, l_hi, 1.0, f2)),
         verdict("restore-floor", f"worst dip below {q:.6g} over prefixes {f1}..{f2}",
-                _prefix_deviation(word.digits, v, l_hi, q, f1, shortfall=True),
-                tol(2.0 ** -(k - 1))),
+                _prefix_deviation(word.digits, v, l_hi, q, f1, shortfall=True)),
     ]
 
     held = False
@@ -800,7 +788,7 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
         l_p = min(kp, L_CAP)
         dev = _point_deviation(trace.xi, vp, l_p, 1.0, lo, hi)
         out.append(verdict("other-base-hold", f"stage-{kp} base {vp}, prefixes {lo}..{hi}",
-                           dev, tol(2.0 ** -(kp + 1)), l_p))
+                           dev, l_p))
     if not held:
         out.append(verdict("other-base-hold", "no inequivalent earlier base"))
 
@@ -811,7 +799,7 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
     else:
         n_w = angle_base(plan.growth.angle(sb.p2 + 1), w)
         dev = _point_deviation(trace.xi, w, l_hi, 1.0, n_w, n_w)
-        out.append(verdict("next-base-restore", f"base {w} prefix {n_w}", dev, tol(2.0**-k)))
+        out.append(verdict("next-base-restore", f"base {w} prefix {n_w}", dev))
 
     if not (repeated and len(trace.stages) > k and trace.stage(k + 1).p1 is not None):
         out.append(verdict("next-stage-floor", "stage k+1 absent or next base is new"))
@@ -822,7 +810,7 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
         dev = _point_deviation(trace.xi, w, l_hi, q_next, lo, hi, shortfall=True)
         out.append(verdict("next-stage-floor",
                            f"worst dip below {q_next:.6g}, base {w}, prefixes {lo}..{hi}",
-                           dev, tol(2.0 ** -(k - 1))))
+                           dev))
     return tuple(out)
 
 
@@ -830,11 +818,11 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
 # trace serialization
 
 
-def write_trace_csv(trace: ConstructionTrace, path, comment: Optional[str] = None) -> None:
-    """One row per step; block digits are space-separated in one cell."""
+def write_trace_csv(trace: ConstructionTrace, path, comment: str) -> None:
+    """A ``# comment`` line, then one row per step; block digits are
+    space-separated in one cell."""
     buf = io.StringIO()
-    if comment:
-        buf.write(f"# {comment}\n")
+    buf.write(f"# {comment}\n")
     writer = csv.writer(buf)
     writer.writerow(["m", "k", "substage", "criterion", "u", "a_m", "b_m", "block",
                      "objective", "objective_mean", "candidates", "filter_vacuous"])

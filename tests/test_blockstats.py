@@ -350,19 +350,16 @@ def test_dimension_estimate_boundary_cases():
     rng = random.Random(13)
     word = rand_word(rng, 2, 5000)
     profile = entropy_profile(word, 2, [1000, 3000, 5000])
-    est = dimension_estimate(profile, tail_fraction=0.5)
+    est = dimension_estimate(profile)
     assert 0.9 < est <= 1.0
-
-    with pytest.raises(ValueError):
-        dimension_estimate(profile, tail_fraction=0.0)
 
 
 def test_dimension_estimate_tail_selection():
-    # Early low-entropy prefix is ignored once it leaves the tail window.
+    # the early zero run sits in the first half of the checkpoints, so it
+    # drops out; the middle one of an odd count is read
     rng = random.Random(3)
     word = DigitWord(2, (0,) * 2000 + tuple(rng.randrange(2) for _ in range(20000)))
-    profile = entropy_profile(word, 1, [2000, 11000, 22000])
-    full = dimension_estimate(profile, tail_fraction=1.0)
-    tail = dimension_estimate(profile, tail_fraction=0.3)
-    assert full == profile.entropy(1, 2000) == 0.0
-    assert tail == profile.entropy(1, 22000) > 0.9
+    profile = entropy_profile(word, 1, [1000, 2000, 11000, 16000, 22000])
+    assert profile.entropy(1, 1000) == profile.entropy(1, 2000) == 0.0
+    read = [profile.entropy(1, n) for n in (11000, 16000, 22000)]
+    assert dimension_estimate(profile) == min(read) == read[0] > 0.9

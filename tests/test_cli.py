@@ -175,6 +175,22 @@ def test_construct_single_stage_outputs(plan_file, tmp_path, capsys):
     assert all(v["passed"] or v["vacuous"] for v in verdicts)
 
 
+def test_construct_config_line_records_every_setting(plan_file, tmp_path):
+    configs = {}
+    for gamma in ("0.8", "0.9"):
+        out = tmp_path / gamma
+        assert main([
+            "construct", "--plan", plan_file, "--stages", "1", "--samples", "2",
+            "--weyl-gamma", gamma, "--margin", "0.05", "--out", str(out),
+        ]) == 0
+        config = (out / "trace.csv").read_text().splitlines()[0]
+        assert config == "# " + json.loads((out / "monitors.json").read_text())["config"]
+        assert f"weyl_gamma={gamma}" in config.split()
+        assert "transition_margin=0.05" in config.split()
+        configs[gamma] = config
+    assert configs["0.8"] != configs["0.9"]
+
+
 def test_construct_rejects_inconsistent_plan(tmp_path, capsys):
     covered = "constants exist for bases 2, 3, 4, 5, 6"
     cases = [

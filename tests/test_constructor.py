@@ -227,7 +227,7 @@ def test_select_step_matches_brute_force_argmin(monkeypatch):
     sched = _tiny_two_base_schedule()
     lam = Fraction(1, 5)
     choice, drawn = _select_drawing(
-        monkeypatch, lam, 2, sched, 2, ConstructionParams(samples=200, seed=0))
+        monkeypatch, lam, 2, sched, 2, 3, ConstructionParams(samples=200, seed=0))
     obj, word = _brute_force_choice(lam, 2, sched, 3)
     assert len(drawn) == 3 ** len(word)  # every block drawn: the argmin is global
     assert choice.digit_block == word
@@ -240,7 +240,7 @@ def test_select_step_matches_brute_force_argmin(monkeypatch):
 
 def test_select_step_chosen_never_worse_than_mean():
     sched = _tiny_two_base_schedule()
-    choice = select_step(Fraction(3, 11), 2, sched, 2, ConstructionParams(samples=32, seed=5))
+    choice = select_step(Fraction(3, 11), 2, sched, 2, 3, ConstructionParams(samples=32, seed=5))
     assert choice.objective <= choice.objective_mean + 1e-12
 
 
@@ -251,26 +251,26 @@ def test_select_step_objective_scale_invariance(monkeypatch):
     sched = _tiny_two_base_schedule()
     lam = Fraction(1, 5)
     params = ConstructionParams(samples=200, seed=0)
-    plain = select_step(lam, 2, sched, 2, params)
+    plain = select_step(lam, 2, sched, 2, 3, params)
     monkeypatch.setattr(fsdim.constructor, "a_m", lambda *args: 3.7 * a_m(*args))
-    scaled = select_step(lam, 2, sched, 2, params)
+    scaled = select_step(lam, 2, sched, 2, 3, params)
     assert scaled.objective == pytest.approx(3.7 * plain.objective)
     assert scaled.digit_block == plain.digit_block
 
 
 def test_select_step_sampled_is_deterministic():
     sched = _tiny_two_base_schedule()
-    one = select_step(Fraction(1, 5), 2, sched, 2, ConstructionParams(samples=16, seed=42))
-    two = select_step(Fraction(1, 5), 2, sched, 2, ConstructionParams(samples=16, seed=42))
+    one = select_step(Fraction(1, 5), 2, sched, 2, 3, ConstructionParams(samples=16, seed=42))
+    two = select_step(Fraction(1, 5), 2, sched, 2, 3, ConstructionParams(samples=16, seed=42))
     assert one == two
-    other = select_step(Fraction(1, 5), 2, sched, 2, ConstructionParams(samples=16, seed=43))
+    other = select_step(Fraction(1, 5), 2, sched, 2, 3, ConstructionParams(samples=16, seed=43))
     assert other.candidates_examined == 16  # same budget, possibly same pick
 
 
 def test_select_step_single_class_takes_lexicographic_minimum(monkeypatch):
     sched = Schedule((4, 4), TableGrowth((3, 8, 13)))
     choice, drawn = _select_drawing(
-        monkeypatch, Fraction(1, 9), 2, sched, 2, ConstructionParams(samples=100, seed=0))
+        monkeypatch, Fraction(1, 9), 2, sched, 2, 4, ConstructionParams(samples=100, seed=0))
     assert len(drawn) == 4 ** len(choice.digit_block)  # the all-zero block was drawn
     assert choice.objective == 0.0
     assert choice.objective_mean == 0.0
@@ -303,37 +303,32 @@ def test_select_step_trivial_step_computes_one_point(monkeypatch):
     names = ("a_m", "eta_g_at", "_candidate", "sigma_element_at")
     calls = _count_calls(monkeypatch, *names)
     sched = Schedule((4, 4), TableGrowth((3, 8, 13)))
-    select_step(Fraction(1, 9), 2, sched, 2, ConstructionParams(samples=16, seed=0))
+    select_step(Fraction(1, 9), 2, sched, 2, 4, ConstructionParams(samples=16, seed=0))
     assert calls == dict.fromkeys(names, 0)
 
     # a scored step rounds to the grid once, then forms one point and one
     # objective per draw
     calls.update(dict.fromkeys(names, 0))
-    select_step(Fraction(1, 5), 2, _tiny_two_base_schedule(), 2,
+    select_step(Fraction(1, 5), 2, _tiny_two_base_schedule(), 2, 3,
                 ConstructionParams(samples=16, seed=0))
     assert calls == {"a_m": 16, "eta_g_at": 1, "_candidate": 16, "sigma_element_at": 0}
 
 
-def test_select_step_criterion_one_uses_restricted_alphabet(monkeypatch):
-    plan = StagePlan({2: Fraction(1, 2)}, growth=TableGrowth((3, 8, 13)))
-    sched = Schedule((4, 4), plan.growth)
+def test_select_step_draws_from_the_alphabet_it_is_handed(monkeypatch):
+    sched = Schedule((4, 4), TableGrowth((3, 8, 13)))
     choice, drawn = _select_drawing(
-        monkeypatch, Fraction(1, 9), 2, sched, 1, ConstructionParams(samples=32, seed=0), plan)
+        monkeypatch, Fraction(1, 9), 2, sched, 1, 2, ConstructionParams(samples=32, seed=0))
+    assert all(d < 2 for block in drawn for d in block)
     assert choice.digit_block.base == 2
-    assert all(d < 2 for d in choice.digit_block.digits)
     assert len(drawn) == 2 ** len(choice.digit_block)  # every restricted block
     assert choice.substage == 1
 
 
 def test_select_step_rejects_bad_arguments():
-    sched = _tiny_two_base_schedule()
-    with pytest.raises(ValueError):
-        select_step(0, 2, sched, 3, ConstructionParams())
-    with pytest.raises(ValueError):
-        select_step(0, 2, sched, 1, ConstructionParams())  # no plan
-    plan = StagePlan({2: Fraction(1, 2)})
-    with pytest.raises(ValueError):  # p(2) = 1 is not a usable alphabet
-        select_step(0, 1, Schedule((2,), TableGrowth((2, 7))), 1, ConstructionParams(), plan)
+    sched = _tiny_two_base_schedule()  # base 3 at step 2
+    for alphabet in (1, 4):  # one digit, or more digits than the base has
+        with pytest.raises(ValueError, match=f"alphabet {alphabet} unusable in base 3"):
+            select_step(0, 2, sched, 2, alphabet, ConstructionParams())
 
 
 def test_select_step_no_candidate_error():
@@ -341,13 +336,13 @@ def test_select_step_no_candidate_error():
     sched = Schedule((2,), TableGrowth((2, 60)))
     disc = DiscrepancyParams(c={2: 1e-9})
     with pytest.raises(FilterGiveUp):
-        select_step(0, 1, sched, 2, ConstructionParams(samples=4, seed=0, disc=disc))
+        select_step(0, 1, sched, 2, 2, ConstructionParams(samples=4, seed=0, disc=disc))
 
 
 def test_select_step_filter_applies_beyond_threshold():
     sched = Schedule((2,), TableGrowth((2, 60)))  # width 56 > DEFAULT_N = 50
     params = ConstructionParams(samples=8, seed=3)
-    choice = select_step(0, 1, sched, 2, params)
+    choice = select_step(0, 1, sched, 2, 2, params)
     assert not choice.filter_vacuous
     assert low_discrepancy_test(choice.digit_block, params.disc)
 
@@ -655,8 +650,8 @@ def test_construction_params_validation():
         ConstructionParams(t_cap=0)
     with pytest.raises(ValueError, match="samples must be positive"):
         ConstructionParams(samples=0)
-    assert ConstructionParams(tolerance=None).entropy_tolerance(0.25) == 0.25
-    assert ConstructionParams(tolerance=0.2).entropy_tolerance(0.25) == 0.2
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        ConstructionParams(tolerance=None)
 
 
 def test_run_construction_zero_stages():
