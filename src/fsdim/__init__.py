@@ -50,9 +50,6 @@ from fsdim.discrepancy import (
 )
 from fsdim.expsum import (
     a_m,
-    check_sin_lower_bound,
-    eta_constant,
-    sin_ratio,
     weyl_average,
     weyl_entropy_certificate,
     weyl_report,
@@ -65,9 +62,12 @@ from fsdim.schedule import (
     StagePlan,
     TableGrowth,
     angle_base,
+    check_sin_lower_bound,
     equivalent,
+    eta_constant,
     parse_plan,
     read_plan_file,
+    sin_ratio,
     validate_good_sequence,
 )
 

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 Rational = Union[Fraction, int]
+Real = Union[float, Fraction, int]
 
 
 def as_unit(x: Rational) -> Fraction:
@@ -42,6 +43,12 @@ def as_unit(x: Rational) -> Fraction:
     if not 0 <= f < 1:
         raise ValueError(f"point {f} lies outside [0, 1)")
     return f
+
+
+def _reduced(x: Real) -> Fraction:
+    # exact value of x mod 1 (floats convert exactly)
+    f = Fraction(x)
+    return f - (f.numerator // f.denominator)
 
 
 @dataclass(frozen=True)

@@ -387,7 +387,7 @@ def _next_stage_base(plan: StagePlan, k: int) -> Optional[int]:
     # that look ahead then pass vacuously so short plans stay runnable
     try:
         return plan.v_of(k + 1)
-    except (KeyError, ValueError):
+    except ValueError:
         return None
 
 
@@ -624,13 +624,11 @@ def run_construction(
         raise ValueError(f"stage count must be nonnegative, got {stages}")
     params = ConstructionParams() if params is None else params
     # every base and alphabet the steps and the look-ahead draw from
-    reached = set()
-    for k in range(1, stages + 1):
-        reached |= {plan.v_of(k), plan.v_star(k)}
+    reached = {plan.v_of(k) for k in range(1, stages + 1)}
     w = _next_stage_base(plan, stages)
     if w is not None:
-        reached |= {w, plan.p_of(w)}
-    for b in sorted(reached):
+        reached.add(w)
+    for b in sorted(reached | {plan.p_of(v) for v in reached}):
         params.disc.c_for(b)
 
     xi = Fraction(0)
@@ -642,7 +640,7 @@ def run_construction(
     exhausted = False
     for k in range(1, stages + 1):
         v = plan.v_of(k)
-        v_star = plan.v_star(k)
+        v_star = plan.p_of(v)
         stage_digits: list[int] = []  # base-v expansion of xi built so far
         substage_start = 0  # stage-local digit count when the substage opened
         p1 = None
@@ -752,8 +750,6 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
     """
     plan, params = trace.plan, trace.params
     sb = trace.stage(k)
-    if sb.p2 is None:
-        raise ValueError(f"stage {k} is incomplete; requirements undefined")
     v = sb.v
     q = float(plan.q_for(v))
     l_hi = min(k, L_CAP)

@@ -10,9 +10,8 @@ rounding.  weyl_max_from_digits sums
 float windows of a digit word instead, to float accuracy.  Either way
 _phase_sum forms sum_j e(t * phase_j) in one numpy pass per t.  The
 module provides Weyl prefix averages, the step objective A_m that the
-construction minimizes with its exact oracle a_m_naive, the sine ratio
-of good-sequence condition 1, the all-cosines constant eta = 2/pi, and
-a certificate turning small Weyl averages into a digit-uniformity
+construction minimizes with its exact oracle a_m_naive, and a
+certificate turning small Weyl averages into a digit-uniformity
 guarantee.
 
 For x = k/D with small D, weyl_report reads its averages off one DFT
@@ -28,12 +27,11 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .base_arith import _expansion, frac_of_scaled, orbit_residues
+from .base_arith import Real, _expansion, _reduced, frac_of_scaled, orbit_residues
 from .schedule import Schedule, equivalent
 
 __all__ = [
@@ -47,12 +45,7 @@ __all__ = [
     "certificate_gamma",
     "a_m",
     "a_m_naive",
-    "sin_ratio",
-    "eta_constant",
-    "check_sin_lower_bound",
 ]
-
-Real = Union[float, Fraction, int]
 
 # The DFT path counts residues in a table of D int64s and keeps the
 # last half spectrum of 16*(D//2+1) bytes (134 MB at this limit) cached.
@@ -65,12 +58,6 @@ TWO_PI_I = 2j * math.pi
 def e_of(x: Real) -> complex:
     """e(x) = exp(2*pi*i*x)."""
     return cmath.exp(TWO_PI_I * float(x))
-
-
-def _reduced(x: Real) -> Fraction:
-    # exact value of x mod 1 (floats convert exactly)
-    f = Fraction(x)
-    return f - (f.numerator // f.denominator)
 
 
 # a phase is read off a window of the least K digits with base**K >= 2**_WINDOW_BITS
@@ -340,56 +327,3 @@ def a_m_naive(
                 inner += e_of(frac_of_scaled(f, t, u, j - 1))
             total += abs(inner) ** 2
     return total
-
-
-# ---------------------------------------------------------------------------
-# sine ratios
-
-
-def sin_ratio(p: int, x: Real) -> float:
-    """|sin(p*pi*x) / (p*sin(pi*x))|, with the removable singularity at
-    integer x set to its limit 1."""
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
-    f = _reduced(x)
-    # the ratio is invariant under x -> x+1 and x -> -x, so fold the
-    # argument into [0, 1/2] exactly before any float rounding
-    if 2 * f > 1:
-        f = 1 - f
-    xf = float(f)
-    # xf == 0 covers exact integers and arguments below float resolution;
-    # the ratio is within 1 ulp of the limit 1 there
-    if xf == 0.0:
-        return 1.0
-    # |ratio - 1| <= (p*pi*x)^2 / 6, so below this cutoff the limit value
-    # is the correctly rounded answer; dividing the two sines instead
-    # loses precision once the arguments go subnormal
-    if (p * math.pi * xf) ** 2 < 6.0 * 2.0 ** -53:
-        return 1.0
-    return abs(math.sin(p * math.pi * xf) / (p * math.sin(math.pi * xf)))
-
-
-def eta_constant(terms: int) -> float:
-    """Partial product of |cos(pi / 2**(i+1))| for i = 1..terms; limit 2/pi."""
-    if terms < 1:
-        raise ValueError(f"need terms >= 1, got {terms}")
-    product = 1.0
-    for i in range(1, terms + 1):
-        product *= abs(math.cos(math.pi / 2.0 ** (i + 1)))
-    return product
-
-
-def check_sin_lower_bound(n: int, x: float) -> bool:
-    """sin(n*x) / (n*sin(x)) >= 1 - (n**2 - 1) * x**2 / 6, up to 1e-12 slack.
-
-    x is in radians with |x| < 1; x = 0 is the limit case and holds.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not abs(x) < 1.0:
-        raise ValueError(f"need |x| < 1, got {x}")
-    if x == 0.0:
-        return True
-    lhs = math.sin(n * x) / (n * math.sin(x))
-    rhs = 1.0 - (n * n - 1) * x * x / 6.0
-    return lhs >= rhs - 1e-12

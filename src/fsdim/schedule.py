@@ -10,8 +10,11 @@ base-u(m) expansion.  The positions derive from a growth function
 This module owns that arithmetic, the equivalence relation "r and s
 are powers of a common base", the fixed enumeration of class
 representatives, per-class target entropies (the stage plan), and the
-good-sequence validator, whose block-length condition compares against
-the filter's prefix threshold discrepancy.DEFAULT_N.
+good-sequence validator.  Condition 1 bounds a tail product of sine
+ratios |sin(p*pi*x) / (p*sin(pi*x))| below by the all-cosines constant
+eta = 2/pi; the sine ratio, eta and the sine lower bound that go with
+it live here too.  Condition 4 compares block lengths against the
+filter's prefix threshold discrepancy.DEFAULT_N.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, TypeVar, Union
 
+from .base_arith import Real, _reduced
 from .discrepancy import DEFAULT_N
 
 __all__ = [
@@ -42,6 +46,9 @@ __all__ = [
     "StagePlan",
     "parse_plan",
     "read_plan_file",
+    "sin_ratio",
+    "eta_constant",
+    "check_sin_lower_bound",
     "ConditionCheck",
     "GoodSequenceReport",
     "validate_good_sequence",
@@ -269,9 +276,6 @@ class Schedule:
             raise ValueError(f"step {m} outside schedule of length {len(self.u)}")
         return self.u[m - 1]
 
-    def angle(self, m: int) -> int:
-        return self.growth.angle(m)
-
     def angle_base(self, m: int, r: int) -> int:
         return angle_base(self.growth.angle(m), r)
 
@@ -366,8 +370,8 @@ class StagePlan:
     q is stored per class representative; q values supplied for
     equivalent bases must agree (finite-state dimension is a class
     invariant).  Stage k runs in base v(k) = r_k**d where q_{r_k} = e/d
-    in lowest terms, and the first-substage alphabet is
-    v*(k) = p(v(k)) = r_k**e.
+    in lowest terms.  p_of gives the restricted alphabet: the first
+    substage of stage k draws from p(v(k)) = floor(v(k)**q) = r_k**e.
     """
 
     def __init__(
@@ -411,11 +415,6 @@ class StagePlan:
         """Working base of stage k: r_k raised to q's denominator."""
         r = r_seq(k)
         return r ** self.q_for(r).denominator
-
-    def v_star(self, k: int) -> int:
-        """First-substage alphabet of stage k: r_k raised to q's numerator."""
-        r = r_seq(k)
-        return r ** self.q_for(r).numerator
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StagePlan):
@@ -482,6 +481,59 @@ def read_plan_file(path) -> StagePlan:
 
 
 # ---------------------------------------------------------------------------
+# sine ratios
+
+
+def sin_ratio(p: int, x: Real) -> float:
+    """|sin(p*pi*x) / (p*sin(pi*x))|, with the removable singularity at
+    integer x set to its limit 1."""
+    if p < 2:
+        raise ValueError(f"need p >= 2, got {p}")
+    f = _reduced(x)
+    # the ratio is invariant under x -> x+1 and x -> -x, so fold the
+    # argument into [0, 1/2] exactly before any float rounding
+    if 2 * f > 1:
+        f = 1 - f
+    xf = float(f)
+    # xf == 0 covers exact integers and arguments below float resolution;
+    # the ratio is within 1 ulp of the limit 1 there
+    if xf == 0.0:
+        return 1.0
+    # |ratio - 1| <= (p*pi*x)^2 / 6, so below this cutoff the limit value
+    # is the correctly rounded answer; dividing the two sines instead
+    # loses precision once the arguments go subnormal
+    if (p * math.pi * xf) ** 2 < 6.0 * 2.0 ** -53:
+        return 1.0
+    return abs(math.sin(p * math.pi * xf) / (p * math.sin(math.pi * xf)))
+
+
+def eta_constant(terms: int) -> float:
+    """Partial product of |cos(pi / 2**(i+1))| for i = 1..terms; limit 2/pi."""
+    if terms < 1:
+        raise ValueError(f"need terms >= 1, got {terms}")
+    product = 1.0
+    for i in range(1, terms + 1):
+        product *= abs(math.cos(math.pi / 2.0 ** (i + 1)))
+    return product
+
+
+def check_sin_lower_bound(n: int, x: float) -> bool:
+    """sin(n*x) / (n*sin(x)) >= 1 - (n**2 - 1) * x**2 / 6, up to 1e-12 slack.
+
+    x is in radians with |x| < 1; x = 0 is the limit case and holds.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if not abs(x) < 1.0:
+        raise ValueError(f"need |x| < 1, got {x}")
+    if x == 0.0:
+        return True
+    lhs = math.sin(n * x) / (n * math.sin(x))
+    rhs = 1.0 - (n * n - 1) * x * x / 6.0
+    return lhs >= rhs - 1e-12
+
+
+# ---------------------------------------------------------------------------
 # good-sequence validation
 
 
@@ -524,8 +576,6 @@ def validate_good_sequence(sched: Schedule, plan: StagePlan, m_max: int) -> Good
     b_m - a_m >= DEFAULT_N, the filter's threshold N_b(1/2), which is
     the same for u(m) and p(u(m)).
     """
-    from .expsum import sin_ratio
-
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     if m_max > len(sched):

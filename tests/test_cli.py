@@ -68,9 +68,17 @@ def test_analyze_is_byte_identical_across_runs(bits_file, tmp_path, capsys):
     assert one == two
 
 
-def test_analyze_rejects_base_smaller_than_digits(bits_file, capsys):
+def test_analyze_rejects_base_smaller_than_digits(bits_file, tmp_path, capsys):
     assert main(["analyze", bits_file, "--base", "1", "--lmax", "1"]) == 2
     assert "error" in capsys.readouterr().err
+    # base 4 reads fine, base 2 meets digit 3: the error names both, and
+    # neither profile is written
+    quads = tmp_path / "quads.txt"
+    write_digit_file(quads, DigitWord(4, (0, 1, 3) * 100))
+    out = tmp_path / "out"
+    assert main(["analyze", str(quads), "--base", "4", "--base", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: digit 3 out of range for base 2\n"
+    assert not out.exists()
 
 
 def test_analyze_rejects_missing_file(tmp_path, capsys):
@@ -131,9 +139,11 @@ def test_analyze_failing_base_writes_no_profile(tmp_path, capsys):
     assert not list(tmp_path.rglob("*_profile_base4.csv"))
 
 
-def test_analyze_rejects_checkpoint_past_end(zeros_file, capsys):
-    assert main(["analyze", zeros_file, "--checkpoints", "9999999"]) == 2
-    capsys.readouterr()
+def test_analyze_rejects_checkpoint_past_end(zeros_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["analyze", zeros_file, "--checkpoints", "9999999", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: checkpoint 9999999 beyond")
+    assert not out.exists()
 
 
 def test_analyze_out_naming_a_file_exits_two(zeros_file, tmp_path, capsys):
@@ -446,6 +456,8 @@ def test_calibrate_checks_out_before_the_run(name, tmp_path, capsys, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
-def test_calibrate_rejects_bad_base(capsys):
-    assert main(["calibrate", "--base", "1"]) == 2
-    capsys.readouterr()
+def test_calibrate_rejects_bad_base(tmp_path, capsys):
+    out = tmp_path / "disc.ini"
+    assert main(["calibrate", "--base", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: base must be at least 2, got 1\n"
+    assert list(tmp_path.iterdir()) == []

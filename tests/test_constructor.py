@@ -563,6 +563,7 @@ def test_multi_stage_run_completes(three_stage_trace):
     assert [sb.v for sb in trace.stages] == [4, 3, 4]
     assert [sb.v_star for sb in trace.stages] == [2, 3, 2]
     for sb in trace.stages:
+        assert sb.v_star == trace.plan.p_of(sb.v)
         assert sb.p2 is not None and sb.p1 <= sb.p2
     starts = [trace.stage_start(k) for k in (1, 2, 3)]
     assert starts[0] == 1

@@ -1,9 +1,11 @@
 """The export surface: every exported name resolves, so star imports work,
-no module imports a name it never uses, every private module-level name
-is read somewhere in the package, and the constants the README quotes
-are the code's."""
+no module imports a name it never uses, every import sits at module level
+and the modules import each other without a cycle, every private
+module-level name is read somewhere in the package, and the constants the
+README quotes are the code's."""
 
 import ast
+import graphlib
 import importlib
 import pkgutil
 import re
@@ -66,6 +68,36 @@ def test_modules_use_every_import():
     found = {(path.stem, name) for path in sorted(src.glob("*.py"))
              if path.name != "__init__.py" for name in _unused_imports(path)}
     assert found == UNUSED_IMPORTS_ALLOWED
+
+
+def _package_imports(tree: ast.Module) -> set:
+    # the fsdim modules a module imports at top level ("__init__" for fsdim itself)
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fsdim":
+            found.add(node.module.partition(".")[2] or "__init__")
+        elif isinstance(node, ast.Import):
+            found |= {a.name.partition(".")[2] or "__init__"
+                      for a in node.names if a.name.split(".")[0] == "fsdim"}
+    return found
+
+
+def test_imports_sit_at_module_level_without_cycles():
+    # an import inside a function hides a cycle from the module graph
+    trees = _source_trees()
+    nested = sorted((stem, fn.name) for stem, tree in trees.items()
+                    for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(fn)))
+    assert not nested, f"functions that import: {nested}"
+    graph = {stem: _package_imports(tree) for stem, tree in trees.items()}
+    assert graph["cli"] and graph["__init__"]
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"fsdim modules import in a cycle: {exc.args[1]}")
 
 
 def _private_top_level_names(tree: ast.Module) -> set:

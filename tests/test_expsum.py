@@ -19,15 +19,19 @@ from fsdim.expsum import (
     a_m_naive,
     certificate_gamma,
     certificate_t_range,
-    check_sin_lower_bound,
     e_of,
-    eta_constant,
-    sin_ratio,
     weyl_average,
     weyl_entropy_certificate,
     weyl_report,
 )
-from fsdim.schedule import ScaledGrowth, Schedule, TableGrowth
+from fsdim.schedule import (
+    ScaledGrowth,
+    Schedule,
+    TableGrowth,
+    check_sin_lower_bound,
+    eta_constant,
+    sin_ratio,
+)
 
 
 # --- oracles -----------------------------------------------------------------
@@ -332,7 +336,7 @@ def test_a_m_t_cap():
         a_m(x, 4, sched)
 
 
-# --- sine ratios and eta -------------------------------------------------------
+# --- sine ratios and eta (fsdim.schedule, the lemma of condition 1) ------------
 
 
 def test_sin_ratio_examples():

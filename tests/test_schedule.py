@@ -320,7 +320,7 @@ def test_stage_plan_basics():
     assert plan.q_for(2) == Fraction(1, 2)
     assert plan.q_for(8) == Fraction(1, 2)  # same class
     assert plan.v_of(1) == 4
-    assert plan.v_star(1) == 2
+    assert plan.p_of(plan.v_of(1)) == 2
     assert plan.p_of(4) == 2
     with pytest.raises(ValueError):
         plan.q_for(3)
@@ -361,9 +361,10 @@ def test_stage_plan_consistency_over_many_stages():
     plan = StagePlan(q)
     for k in range(1, 101):
         r = r_seq(k)
-        assert plan.p_of(plan.v_of(k)) == plan.v_star(k)
+        # the restricted alphabet is r_k raised to q's numerator
+        assert plan.p_of(plan.v_of(k)) == r ** plan.q_for(r).numerator
         assert plan.q_for(plan.v_of(k)) == plan.q_for(r)
-        assert plan.v_star(k) <= plan.v_of(k)
+        assert plan.p_of(plan.v_of(k)) <= plan.v_of(k)
         d = plan.q_for(r).denominator
         assert plan.v_of(k) == r ** d
 
@@ -385,8 +386,8 @@ def test_parse_plan_roundtrip():
     assert plan.q_for(9) == Fraction(2, 3)
     assert plan.growth == ScaledGrowth(8, 4)
     assert plan.alpha.alpha(3, 2) == 0.4
-    assert plan.v_of(1) == 4 and plan.v_star(1) == 2
-    assert plan.v_of(2) == 27 and plan.v_star(2) == 9
+    assert plan.v_of(1) == 4 and plan.p_of(plan.v_of(1)) == 2
+    assert plan.v_of(2) == 27 and plan.p_of(plan.v_of(2)) == 9
 
 
 def test_parse_plan_defaults_and_paper_growth():
