@@ -1,10 +1,10 @@
 """Staged digit selection driving block entropies to prescribed targets.
 
-Each step m rounds the current point up to a grid value eta and then
-appends one block of digits at positions a_m+1 .. b_m-2 (the final two
-positions are zeroed as carry guards, so earlier digits never move
-again).  Candidate blocks are ConstructionParams.samples rejection-sampled
-draws, seeded per step and slot from ConstructionParams.seed, through
+Each step m appends one block of digits at positions a_m+1 .. b_m-2 of
+the current point (the final two positions are zeroed as carry guards,
+so earlier digits never move again).  Candidate blocks are
+ConstructionParams.samples rejection-sampled draws, seeded per step and
+slot from ConstructionParams.seed, through
 the low-discrepancy filter (blocks of at most DEFAULT_N digits pass it
 vacuously), scored by the cross-base exponential-sum objective; the
 chosen block is the objective argmin over the draws, ties broken
@@ -16,7 +16,9 @@ Steps are grouped into stages.  Stage k works in base v(k): a first
 substage draws blocks from the restricted alphabet p(v(k)) until the
 block entropies sit near the target rate q, then a second substage
 draws from the full alphabet until they return to 1 and the point
-passes a Weyl-average spot check.  Substage close-out predicates and
+passes a Weyl-average spot check.  A stage opens by rounding the point
+up onto its base-v(k) grid; from then on the point is the stage's digit
+list, carried as one integer.  Substage close-out predicates and
 after-the-fact requirement monitors both live here; the monitors are
 evaluated on the final point, whose digit prefixes are exact.  A trace
 keeps that point and each step's block, once: the point after step m
@@ -45,7 +47,14 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .base_arith import DigitWord, Rational, as_unit, atomic_write_text, digits_prefix
+from .base_arith import (
+    DigitWord,
+    Rational,
+    as_unit,
+    atomic_write_text,
+    digits_prefix,
+    value_of_word,
+)
 from .blockstats import prefix_entropies
 from .discrepancy import (
     DEFAULT_N,
@@ -155,18 +164,16 @@ def sigma_element_at(
         raise ValueError(f"block length {len(block)} != {width} open positions")
     if block.base > base:
         raise ValueError(f"alphabet {block.base} exceeds ambient base {base}")
-    return _candidate(eta_g_at(lam, base, a_pos), base ** (b_pos - 2), block, base)
+    eta, scale = eta_g_at(lam, base, a_pos), base ** (b_pos - 2)
+    return _candidate(eta.numerator * (scale // eta.denominator), scale, block, base)
 
 
-def _candidate(eta: Fraction, scale: int, block: DigitWord, base: int) -> Fraction:
-    # eta plus the block read as a base-``base`` integer over scale
-    h = 0
-    for d in block.digits:
-        h = h * base + d
-    value = eta + Fraction(h, scale)
-    if value >= 1:
+def _candidate(start: int, scale: int, block: DigitWord, base: int) -> Fraction:
+    # (start plus the block read as a base-``base`` integer) over scale
+    num = start + DigitWord(base, block.digits).as_int()
+    if num >= scale:
         raise ValueError("candidate point left the unit interval")
-    return value
+    return Fraction(num, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +205,7 @@ class StepChoice:
 
 
 def select_step(
-    lam: Rational,
+    start: int,
     m: int,
     sched: Schedule,
     substage: int,
@@ -214,8 +221,9 @@ def select_step(
     candidates no longer than the filter threshold DEFAULT_N pass
     vacuously; a slot none of whose draws passes raises FilterGiveUp.
     Ties in the objective go to the lexicographically smallest block,
-    so reruns are reproducible.  The point after the step is
-    sigma_element_at(lam, u(m), a_m, b_m, choice.digit_block).
+    so reruns are reproducible.  The step starts from the grid point
+    start * u(m)**-a_m; a draw h, read as a base-u(m) integer, scores
+    the point (start * u(m)**width + h) * u(m)**-(b_m - 2).
     """
     u = sched.base(m)
     a_pos, b_pos = sched.a(m), sched.b(m)
@@ -229,7 +237,7 @@ def select_step(
     # equivalent, so those draws score 0.0 without forming a point
     trivial = all(equivalent(sched.base(h), u) for h in range(1, m + 1))
     if not trivial:  # shared by every draw of the step
-        eta, scale = eta_g_at(lam, u, a_pos), u ** (b_pos - 2)
+        start, scale = start * u**width, u ** (b_pos - 2)
 
     best = None  # ((objective, digits), word)
     total_obj = 0.0
@@ -237,7 +245,7 @@ def select_step(
         # one independent stream per candidate slot: reruns are identical
         # no matter how many rejection attempts each slot needs
         word = sample_good_string(alphabet, width, f"{params.seed}:{m}:{i}", params.disc)
-        obj = 0.0 if trivial else a_m(_candidate(eta, scale, word, u), m, sched, params.t_cap)
+        obj = 0.0 if trivial else a_m(_candidate(start, scale, word, u), m, sched, params.t_cap)
         total_obj += obj
         key = (obj, word.digits)
         if best is None or key < best[0]:
@@ -472,18 +480,17 @@ def second_substage_done(
     params: ConstructionParams,
     digits: Sequence[int],
     digits_fixed: int,
-    xi: Fraction,
 ) -> SubstageCheck:
     """Close the full-alphabet substage once the point looks fully random.
 
-    ``digits`` must hold the base-v(k) expansion of xi written in stage k
-    so far; the entropies and the Weyl averages are read off it at its
-    full length.  Beyond near-1 entropies this demands small Weyl
-    averages, a healthy margin for the next stage's block lengths, a
-    good base sequence after appending the next stage's base, and (when
-    that base already appeared) near-1 entropies in it as well.
-    Look-ahead conditions pass vacuously when the plan does not cover
-    stage k+1.
+    ``digits`` must hold the base-v(k) digits stage k has written so
+    far, which are the whole point; the entropies and the Weyl averages
+    are read off them at their full length.  Beyond near-1 entropies
+    this demands small Weyl averages, a healthy margin for the next
+    stage's block lengths, a good base sequence after appending the next
+    stage's base, and (when that base already appeared) near-1 entropies
+    in it as well, read off the point these digits spell.  Look-ahead
+    conditions pass vacuously when the plan does not cover stage k+1.
     """
     v = sched.base(m)
     l_hi = min(k, L_CAP)
@@ -532,6 +539,7 @@ def second_substage_done(
             )
         else:
             n_w = angle_base(plan.growth.angle(m + 1), w)
+            xi = value_of_word(DigitWord(v, tuple(digits)))
             dev_w = _point_deviation(xi, w, l_hi, 1.0, n_w, n_w)
             yield ConditionVerdict(
                 name="next-base-entropy", passed=dev_w <= tol, measured=dev_w,
@@ -631,18 +639,23 @@ def run_construction(
     for b in sorted(reached | {plan.p_of(v) for v in reached}):
         params.disc.c_for(b)
 
-    xi = Fraction(0)
+    xi = Fraction(0)  # the point as the last finished stage left it
     u: list[int] = []
     steps: list[StepChoice] = []
-    points: list[Fraction] = []  # the point after each step, for the audit only
     bounds: list[StageBounds] = []
+    ends: list[tuple[int, int, int]] = []  # (v, num, n) per stage, for the audit only
     m = 0
     exhausted = False
     for k in range(1, stages + 1):
         v = plan.v_of(k)
         v_star = plan.p_of(v)
-        stage_digits: list[int] = []  # base-v expansion of xi built so far
-        substage_start = 0  # stage-local digit count when the substage opened
+        # the stage opens on the point rounded up to its a0 digits before the
+        # first open position; from then on the point is num / v**len(stage_digits)
+        a0 = Schedule((*u, v), plan.growth).a(m + 1)
+        eta0 = eta_g_at(xi, v, a0)
+        stage_digits = list(digits_prefix(eta0, v, a0).digits)
+        num = eta0.numerator * (v**a0 // eta0.denominator)
+        substage_start = len(stage_digits)  # stage-local digit count when the substage opened
         p1 = None
         first_check = second_check = None
         for substage, alphabet in ((1, v_star), (2, v)):
@@ -651,19 +664,10 @@ def run_construction(
                 m += 1
                 u.append(v)
                 sched = Schedule(tuple(u), plan.growth)
-                if not stage_digits:
-                    # digits before this stage's first open position are the
-                    # rounded carry-over of everything built so far
-                    eta0 = eta_g_at(xi, v, sched.a(m))
-                    stage_digits.extend(digits_prefix(eta0, v, sched.a(m)).digits)
-                    substage_start = len(stage_digits)
-                choice = select_step(xi, m, sched, substage, alphabet, params)
-                point = sigma_element_at(xi, v, sched.a(m), sched.b(m), choice.digit_block)
-                if point < xi:
-                    raise AssertionError(f"step {m} moved the point backwards")
-                xi = point
-                points.append(point)
-                stage_digits.extend(choice.digit_block.digits)
+                choice = select_step(num, m, sched, substage, alphabet, params)
+                block = choice.digit_block.digits
+                num = num * v ** (len(block) + 2) + DigitWord(v, block).as_int() * v**2
+                stage_digits.extend(block)
                 stage_digits.append(0)
                 stage_digits.append(0)
                 if len(stage_digits) != sched.b(m):
@@ -676,9 +680,7 @@ def run_construction(
                 if substage == 1:
                     check = first_substage_done(k, m, sched, plan, params, stage_digits, fixed)
                 else:
-                    check = second_substage_done(
-                        k, m, sched, plan, params, stage_digits, fixed, xi
-                    )
+                    check = second_substage_done(k, m, sched, plan, params, stage_digits, fixed)
                 if check.done or taken >= params.step_budget:
                     exhausted = exhausted or not check.done
                     break
@@ -689,6 +691,8 @@ def run_construction(
             substage_start = len(stage_digits)
             if exhausted:
                 break
+        xi = Fraction(num, v ** len(stage_digits))
+        ends.append((v, num, len(stage_digits)))
         bounds.append(
             StageBounds(
                 k=k,
@@ -702,7 +706,7 @@ def run_construction(
         )
         if exhausted:
             break
-    _audit_stability(xi, steps, points)
+    _audit_stability(xi, ends)
     return ConstructionTrace(
         plan=plan,
         params=params,
@@ -713,13 +717,14 @@ def run_construction(
     )
 
 
-def _audit_stability(xi: Fraction, steps: list[StepChoice], points: list[Fraction]) -> None:
-    # every step's point is a lower approximation of the final one, and
-    # the guard zeros keep the gap under one unit of the step's last
-    # written position (so no digit a step fixed ever moved)
-    for step, point in zip(steps, points):
-        if not 0 <= xi - point < Fraction(1, step.u ** (step.b_m - 2)):
-            raise AssertionError(f"digits written at step {step.m} were not stable")
+def _audit_stability(xi: Fraction, ends: Sequence[tuple[int, int, int]]) -> None:
+    # each stage ended on num / v**n, n base-v digits closing on two guard
+    # zeros, and every step's point is a prefix of it: so no fixed digit
+    # moved iff 0 <= xi - num / v**n < v**-(n - 2), tested in integers
+    for k, (v, num, n) in enumerate(ends, 1):
+        gap = xi.numerator * v**n - num * xi.denominator
+        if not 0 <= gap < xi.denominator * v**2:
+            raise AssertionError(f"digits written in stage {k} were not stable")
 
 
 # ---------------------------------------------------------------------------

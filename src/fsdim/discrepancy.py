@@ -227,6 +227,7 @@ def sample_good_string(
     A word no longer than DEFAULT_N passes vacuously (the filter's prefix
     range is empty), so the first draw is returned untested.
     """
+    DigitWord(base, ())  # names a bad base before randrange meets it
     rng = random.Random(rng_seed)
     for _ in range(MAX_ATTEMPTS):
         word = DigitWord(base, tuple(rng.randrange(base) for _ in range(length)))
@@ -255,6 +256,7 @@ def calibrate(
         raise ValueError(f"target rate must be in (0, 1), got {target}")
     if samples < 10:
         raise ValueError(f"need at least 10 samples, got {samples}")
+    DigitWord(base, ())  # names a bad base before randrange meets it
     rng = random.Random(seed)
     stats = []
     for _ in range(samples):

@@ -458,6 +458,7 @@ def test_calibrate_checks_out_before_the_run(name, tmp_path, capsys, monkeypatch
 
 def test_calibrate_rejects_bad_base(tmp_path, capsys):
     out = tmp_path / "disc.ini"
-    assert main(["calibrate", "--base", "1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: base must be at least 2, got 1\n"
+    for base in (1, 0, -3):  # 0 and -3 would reach randrange first
+        assert main(["calibrate", "--base", str(base), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: base must be at least 2, got {base}\n"
     assert list(tmp_path.iterdir()) == []

@@ -16,6 +16,7 @@ from fsdim.constructor import (
     ConstructionParams,
     ConstructionTrace,
     StageBounds,
+    _audit_stability,
     check_requirements,
     delta_k,
     eta_g_at,
@@ -194,6 +195,12 @@ def _tiny_two_base_schedule():
     return Schedule((2, 3), TableGrowth((2, 7, 12)))
 
 
+def _grid(lam, m, sched):
+    """select_step's start: lam rounded up to step m's grid, over u(m)**a_m."""
+    u, a_pos = sched.base(m), sched.a(m)
+    return int(eta_g_at(lam, u, a_pos) * u**a_pos)
+
+
 def _select_drawing(monkeypatch, *args, **kwargs):
     """select_step's choice, plus the set of blocks it drew."""
     import fsdim.constructor
@@ -227,7 +234,7 @@ def test_select_step_matches_brute_force_argmin(monkeypatch):
     sched = _tiny_two_base_schedule()
     lam = Fraction(1, 5)
     choice, drawn = _select_drawing(
-        monkeypatch, lam, 2, sched, 2, 3, ConstructionParams(samples=200, seed=0))
+        monkeypatch, _grid(lam, 2, sched), 2, sched, 2, 3, ConstructionParams(samples=200, seed=0))
     obj, word = _brute_force_choice(lam, 2, sched, 3)
     assert len(drawn) == 3 ** len(word)  # every block drawn: the argmin is global
     assert choice.digit_block == word
@@ -240,7 +247,8 @@ def test_select_step_matches_brute_force_argmin(monkeypatch):
 
 def test_select_step_chosen_never_worse_than_mean():
     sched = _tiny_two_base_schedule()
-    choice = select_step(Fraction(3, 11), 2, sched, 2, 3, ConstructionParams(samples=32, seed=5))
+    choice = select_step(_grid(Fraction(3, 11), 2, sched), 2, sched, 2, 3,
+                         ConstructionParams(samples=32, seed=5))
     assert choice.objective <= choice.objective_mean + 1e-12
 
 
@@ -249,28 +257,30 @@ def test_select_step_objective_scale_invariance(monkeypatch):
     from fsdim.expsum import a_m
 
     sched = _tiny_two_base_schedule()
-    lam = Fraction(1, 5)
+    start = _grid(Fraction(1, 5), 2, sched)
     params = ConstructionParams(samples=200, seed=0)
-    plain = select_step(lam, 2, sched, 2, 3, params)
+    plain = select_step(start, 2, sched, 2, 3, params)
     monkeypatch.setattr(fsdim.constructor, "a_m", lambda *args: 3.7 * a_m(*args))
-    scaled = select_step(lam, 2, sched, 2, 3, params)
+    scaled = select_step(start, 2, sched, 2, 3, params)
     assert scaled.objective == pytest.approx(3.7 * plain.objective)
     assert scaled.digit_block == plain.digit_block
 
 
 def test_select_step_sampled_is_deterministic():
     sched = _tiny_two_base_schedule()
-    one = select_step(Fraction(1, 5), 2, sched, 2, 3, ConstructionParams(samples=16, seed=42))
-    two = select_step(Fraction(1, 5), 2, sched, 2, 3, ConstructionParams(samples=16, seed=42))
+    start = _grid(Fraction(1, 5), 2, sched)
+    one = select_step(start, 2, sched, 2, 3, ConstructionParams(samples=16, seed=42))
+    two = select_step(start, 2, sched, 2, 3, ConstructionParams(samples=16, seed=42))
     assert one == two
-    other = select_step(Fraction(1, 5), 2, sched, 2, 3, ConstructionParams(samples=16, seed=43))
+    other = select_step(start, 2, sched, 2, 3, ConstructionParams(samples=16, seed=43))
     assert other.candidates_examined == 16  # same budget, possibly same pick
 
 
 def test_select_step_single_class_takes_lexicographic_minimum(monkeypatch):
     sched = Schedule((4, 4), TableGrowth((3, 8, 13)))
     choice, drawn = _select_drawing(
-        monkeypatch, Fraction(1, 9), 2, sched, 2, 4, ConstructionParams(samples=100, seed=0))
+        monkeypatch, _grid(Fraction(1, 9), 2, sched), 2, sched, 2, 4,
+        ConstructionParams(samples=100, seed=0))
     assert len(drawn) == 4 ** len(choice.digit_block)  # the all-zero block was drawn
     assert choice.objective == 0.0
     assert choice.objective_mean == 0.0
@@ -301,23 +311,25 @@ def test_select_step_trivial_step_computes_one_point(monkeypatch):
     # a single-class step scores every draw 0.0: no objective call and no
     # candidate point
     names = ("a_m", "eta_g_at", "_candidate", "sigma_element_at")
-    calls = _count_calls(monkeypatch, *names)
     sched = Schedule((4, 4), TableGrowth((3, 8, 13)))
-    select_step(Fraction(1, 9), 2, sched, 2, 4, ConstructionParams(samples=16, seed=0))
+    scored_sched = _tiny_two_base_schedule()
+    trivial_start = _grid(Fraction(1, 9), 2, sched)
+    scored_start = _grid(Fraction(1, 5), 2, scored_sched)
+    calls = _count_calls(monkeypatch, *names)
+    select_step(trivial_start, 2, sched, 2, 4, ConstructionParams(samples=16, seed=0))
     assert calls == dict.fromkeys(names, 0)
 
-    # a scored step rounds to the grid once, then forms one point and one
-    # objective per draw
-    calls.update(dict.fromkeys(names, 0))
-    select_step(Fraction(1, 5), 2, _tiny_two_base_schedule(), 2, 3,
-                ConstructionParams(samples=16, seed=0))
-    assert calls == {"a_m": 16, "eta_g_at": 1, "_candidate": 16, "sigma_element_at": 0}
+    # a scored step starts on its grid numerator, so it rounds nothing and
+    # forms one point and one objective per draw
+    select_step(scored_start, 2, scored_sched, 2, 3, ConstructionParams(samples=16, seed=0))
+    assert calls == {"a_m": 16, "eta_g_at": 0, "_candidate": 16, "sigma_element_at": 0}
 
 
 def test_select_step_draws_from_the_alphabet_it_is_handed(monkeypatch):
     sched = Schedule((4, 4), TableGrowth((3, 8, 13)))
     choice, drawn = _select_drawing(
-        monkeypatch, Fraction(1, 9), 2, sched, 1, 2, ConstructionParams(samples=32, seed=0))
+        monkeypatch, _grid(Fraction(1, 9), 2, sched), 2, sched, 1, 2,
+        ConstructionParams(samples=32, seed=0))
     assert all(d < 2 for block in drawn for d in block)
     assert choice.digit_block.base == 2
     assert len(drawn) == 2 ** len(choice.digit_block)  # every restricted block
@@ -418,9 +430,8 @@ def test_second_substage_done_on_ideal_digits():
     sched = Schedule((4,) * m, plan.growth)
     rng = random.Random(2)
     digits = [rng.randrange(4) for _ in range(sched.b(m))]
-    xi = value_of_word(DigitWord(4, tuple(digits)))
     params = ConstructionParams()
-    check = second_substage_done(1, m, sched, plan, params, digits, len(digits), xi)
+    check = second_substage_done(1, m, sched, plan, params, digits, len(digits))
     assert check.done
     names = [v.name for v in check.verdicts]
     assert names == [
@@ -442,9 +453,7 @@ def test_second_substage_done_fails_on_diluted_digits():
     sched = Schedule((4,) * m, plan.growth)
     rng = random.Random(2)
     digits = [rng.randrange(2) for _ in range(sched.b(m))]  # entropy 1/2, not 1
-    xi = value_of_word(DigitWord(4, tuple(digits)))
-    check = second_substage_done(1, m, sched, plan, ConstructionParams(), digits,
-                                 len(digits), xi)
+    check = second_substage_done(1, m, sched, plan, ConstructionParams(), digits, len(digits))
     assert not check.done
     assert check.verdicts[-1].name == "entropy-at-one"
 
@@ -570,7 +579,7 @@ def test_multi_stage_run_completes(three_stage_trace):
     replay_trace(trace)
 
 
-def test_run_forms_one_point_per_step_plus_one_per_scored_draw(monkeypatch):
+def test_run_rounds_once_per_stage_and_forms_one_point_per_scored_draw(monkeypatch):
     # stage 2 (base 3) is scored against base 4; stage 1 steps are trivial
     calls = _count_calls(monkeypatch, "a_m", "eta_g_at", "_candidate", "sigma_element_at")
     plan = StagePlan({2: Fraction(1, 2), 3: Fraction(1)}, growth=ScaledGrowth(8, 4))
@@ -580,11 +589,32 @@ def test_run_forms_one_point_per_step_plus_one_per_scored_draw(monkeypatch):
                     if not all(equivalent(p.u, s.u) for p in steps[:i + 1])]
     scored = sum(s.candidates_examined for s in scored_steps)
     assert scored > 0
-    # eta_g_at: once per stage for its carried-over digits, once per step
-    # for its point, and once per scored step for all of its draws
+    # eta_g_at only rounds each stage's carried-over point; inside a stage
+    # the point is its digits, so only a scored draw forms a Fraction
     stages = len({s.k for s in steps})
-    assert calls == {"a_m": scored, "eta_g_at": stages + len(steps) + len(scored_steps),
-                     "_candidate": len(steps) + scored, "sigma_element_at": len(steps)}
+    assert calls == {"a_m": scored, "eta_g_at": stages, "_candidate": scored,
+                     "sigma_element_at": 0}
+
+
+def test_audit_stability_checks_each_stage_end(three_stage_trace):
+    # each stage's end point, replayed from its blocks by sigma_element_at
+    trace = three_stage_trace
+    points = replay_trace(trace)
+    ends = []
+    for k in range(1, len(trace.stages) + 1):
+        i = max(i for i, s in enumerate(trace.steps) if s.k == k)
+        last = trace.steps[i]
+        ends.append((last.u, int(points[i] * last.u**last.b_m), last.b_m))
+    _audit_stability(trace.xi, ends)
+
+    # a final point anywhere in [point, point + unit) keeps the stage's
+    # written digits; just below it, or one unit of the last one above, not
+    for v, num, n in ends:
+        point, unit = Fraction(num, v**n), Fraction(1, v ** (n - 2))
+        _audit_stability(point + unit - Fraction(1, v ** (n + 1)), [(v, num, n)])
+        for moved in (point - Fraction(1, v ** (n + 1)), point + unit):
+            with pytest.raises(AssertionError, match="stage 1 were not stable"):
+                _audit_stability(moved, [(v, num, n)])
 
 
 def test_multi_stage_alphabets_follow_plan(three_stage_trace):
