@@ -231,9 +231,8 @@ _TOKENS_PER_LINE = 64
 def write_digit_file(path: Union[str, os.PathLike], word: DigitWord) -> None:
     """Write a digit file: ``base=<b>`` then whitespace-separated digit tokens."""
     lines = [f"base={word.base}"]
-    toks = [str(d) for d in word.digits]
-    for i in range(0, len(toks), _TOKENS_PER_LINE):
-        lines.append(" ".join(toks[i : i + _TOKENS_PER_LINE]))
+    for i in range(0, len(word), _TOKENS_PER_LINE):
+        lines.append(" ".join(map(str, word.digits[i : i + _TOKENS_PER_LINE])))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -113,17 +113,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
         plan = read_plan_file(args.plan)
     except (OSError, ValueError) as exc:
         return _fail(f"invalid plan: {exc}", 2)
-    params = ConstructionParams(
-        tolerance=args.tolerance,
-        transition_l=args.transition_l,
-        transition_margin=args.margin,
-        weyl_gamma=args.weyl_gamma,
-        min_digits=args.min_digits,
-        step_budget=args.budget,
-        t_cap=args.t_cap,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    # each ConstructionParams field but the filter constants is a flag of that dest
+    run_flags = [f.name for f in fields(ConstructionParams) if f.name != "disc"]
+    params = ConstructionParams(**{name: getattr(args, name) for name in run_flags})
     # made before the run, so an unusable --out fails before minutes of work
     os.makedirs(args.out, exist_ok=True)
     try:
@@ -131,8 +123,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except FilterGiveUp as exc:
         return _fail(f"candidate search failed: {exc}", 2)
 
-    settings = " ".join(f"{f.name}={getattr(params, f.name)}"
-                        for f in fields(params) if f.name != "disc")
+    settings = " ".join(f"{name}={getattr(params, name)}" for name in run_flags)
     config = f"fsdim construct plan={args.plan} stages={args.stages} mode={args.mode} {settings}"
     write_trace_csv(trace, os.path.join(args.out, "trace.csv"), comment=config)
 
@@ -304,22 +295,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("construct", help="run the staged construction")
-    run = ConstructionParams()  # the run options default to the library's defaults
+    run = ConstructionParams()  # a run flag's dest is its field, its default the field's
     p.add_argument("--plan", required=True, help="plan file (q/growth/alpha lines)")
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--mode", choices=("sampled",), default="sampled",
                    help="candidate search (seeded sampling is the only one)")
     p.add_argument("--samples", type=int, default=run.samples, help="candidates per step")
-    p.add_argument("--seed", default="0")
+    p.add_argument("--seed", default=run.seed)
     p.add_argument("--tolerance", type=float, default=run.tolerance,
                    help="threshold of every entropy close-out and requirement"
                         " (stands in for the paper's 2^-k values)")
     p.add_argument("--min-digits", type=int, default=run.min_digits,
                    help="digits each substage must fix before closing")
-    p.add_argument("--budget", type=int, default=run.step_budget, help="steps per substage")
+    p.add_argument("--budget", dest="step_budget", type=int, default=run.step_budget,
+                   help="steps per substage")
     p.add_argument("--transition-l", type=float, default=run.transition_l,
                    help="block-length constant of the transition inequalities")
-    p.add_argument("--margin", type=float, default=run.transition_margin,
+    p.add_argument("--margin", dest="transition_margin", type=float,
+                   default=run.transition_margin,
                    help="floor for the transition margin (0 = exact)")
     p.add_argument("--weyl-gamma", type=float, default=run.weyl_gamma,
                    help="Weyl-average threshold gamma (checked against gamma/2)")

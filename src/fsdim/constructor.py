@@ -760,7 +760,7 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
     l_hi = min(k, L_CAP)
     tol = params.tolerance
     f1, f2 = trace.first_checkpoint(k), trace.second_checkpoint(k)
-    word = digits_prefix(trace.xi, v, f2)
+    word = trace.digits_for_stage(k)
 
     def verdict(name, detail, dev=None, l=l_hi) -> RequirementVerdict:
         # dev None marks a requirement whose trigger condition is absent

@@ -10,7 +10,9 @@ import pytest
 from fsdim.base_arith import DigitWord
 from fsdim.blockstats import occurrence_count
 from fsdim.discrepancy import (
+    DEFAULT_C,
     DEFAULT_N,
+    Z_LEN_CAP,
     DiscrepancyParams,
     FilterGiveUp,
     WordTooShortError,
@@ -122,6 +124,36 @@ def test_filter_deviations_match_golden_digest():
     assert h.hexdigest() == FILTER_DIGEST
 
 
+def _naive_extremal_deviations(word: DigitWord) -> list[tuple[int, float]]:
+    # recount every prefix's blocks as digit tuples, so no key is packed in any base
+    base, total = word.base, len(word)
+    l_max = min(total - DEFAULT_N, Z_LEN_CAP)
+    out = []
+    for n in range(DEFAULT_N, total):
+        dev = -math.inf
+        for l in range(1, min(l_max, total - n) + 1):
+            counts: dict[tuple[int, ...], int] = {}
+            for i in range(n - l + 1):
+                block = word.digits[i : i + l]
+                counts[block] = counts.get(block, 0) + 1
+            low = min(counts.values()) if len(counts) == base**l else 0
+            dev = max(dev, max(counts.values()) / n - base**-l, base**-l - low / n)
+        out.append((n, dev))
+    return out
+
+
+@pytest.mark.parametrize("base", [2, 5, 2000, 2**61])
+def test_filter_deviations_match_a_naive_recount_in_any_base(base):
+    # 2000^6 overflows an int64 packed key, and 2^61 times the word length an
+    # id-times-base key: the scan's counts must not depend on either fitting
+    rng = random.Random(base)
+    words = [DigitWord(base, tuple(rng.randrange(base) for _ in range(length)))
+             for length in (51, 57, 140)]
+    words.append(DigitWord(base, (0, 1, 1) * 40))
+    for word in words:
+        assert list(_extremal_deviations(word)) == _naive_extremal_deviations(word)
+
+
 def test_statistic_is_exact_pass_boundary():
     rng = random.Random(21)
     word = DigitWord(2, tuple(rng.randrange(2) for _ in range(300)))
@@ -177,6 +209,12 @@ def test_calibration_density_band():
         for _ in range(100)
     )
     assert 0.5 <= passed / 100 <= 0.95
+
+
+@pytest.mark.parametrize("base", [2, 6])
+def test_default_constants_are_what_calibrate_gives(base):
+    # DEFAULT_C is calibrate's seed-0 output at its defaults, to its 12 written digits
+    assert float(f"{calibrate(base, seed=0):.12g}") == DEFAULT_C[base]
 
 
 def test_config_roundtrip(tmp_path):
@@ -244,7 +282,7 @@ def test_read_config_errors_name_the_file(body, message, tmp_path):
     assert message in str(info.value)
 
 
-@pytest.mark.parametrize("base", [17, 25, 32])
+@pytest.mark.parametrize("base", [17, 25, 32, 2000, 2**61])
 def test_bases_of_17_and_up_are_accepted(base, tmp_path):
     # the filter's counter keeps its counts in dicts, so no alphabet is too large
     path = tmp_path / "filter.cfg"
