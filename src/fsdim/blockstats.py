@@ -4,12 +4,13 @@ Counts are over overlapping windows: a length-l block starting at every
 position 1..n-l+1 of a length-n word. Counts are exact integers; only
 the final log-sum is evaluated in floating point, with natural logs
 normalized by l*ln(base) so values land in [0, 1].  Entropies are read
-in batch, at one prefix or at many in one pass (:func:`prefix_entropies`);
-the streaming :class:`BlockCounter` serves the low-discrepancy filter, which
-reads the per-length extremal counts that every push keeps in one level list.
+in batch, at one prefix or at many in one pass (:func:`prefix_entropies`).
+The low-discrepancy filter reads every prefix's extremal counts of every
+block length in two rank passes (:func:`_extremal_counts`).  The streaming
+:class:`BlockCounter` counts digits pushed one at a time.
 No table of base^l slots is built: the counter keeps its counts in dicts,
-and the batch readers sort packed int64 keys, so any base works and only a
-batch read with base^l > 2^63 is refused.
+and the batch readers sort int64 keys, so any base works and only an
+entropy read with base^l > 2^63 is refused.
 """
 
 from __future__ import annotations
@@ -88,17 +89,11 @@ def _entropy_from_sums(
 
 
 class BlockCounter:
-    """The low-discrepancy filter's one-pass sliding counter.
+    """A one-pass sliding counter of every block length up to l_max.
 
-    The filter is the one reader that stops at the first failing prefix,
-    so it pushes digits one at a time with :meth:`push`/:meth:`extend`.
-    Each push keeps the extremal counts of every block length l up to
-    l_max current in two lists that the filter reads directly:
-    ``max_counts[l]`` and ``min_counts[l]``, the minimum over all base^l
-    blocks (0 while any block is unseen).  A level list per length counts,
-    for each c, the blocks seen at least c times: a push that opens level
-    c makes c the maximum, and one that fills it to base^l the minimum.
-    Entropies of prefixes are read in batch by :func:`prefix_entropies`.
+    Digits arrive one at a time through :meth:`push`/:meth:`extend`, and
+    :meth:`distribution` reads the counts of one length.  The counts live
+    in dicts of Python ints, so any base works.
     """
 
     def __init__(self, base: int, l_max: int):
@@ -108,32 +103,20 @@ class BlockCounter:
         self.n = 0
         self._counts: list[dict[int, int]] = [dict() for _ in range(l_max + 1)]
         self._keys = [0] * (l_max + 1)  # packed key of the last l digits
-        self._levels = [[base**l] for l in range(l_max + 1)]
-        self.max_counts = [0] * (l_max + 1)
-        self.min_counts = [0] * (l_max + 1)
 
     def push(self, d: int) -> None:
         if not 0 <= d < self.base:
             raise ValueError(f"digit {d} out of range for base {self.base}")
         base = self.base
         self.n += 1
-        keys, max_counts, min_counts = self._keys, self.max_counts, self.min_counts
+        keys = self._keys
         # Descending l: keys[l-1] still holds the previous push's value when
         # keys[l] is formed, so the update needs no scratch copy.
         for l in range(min(self.l_max, self.n), 0, -1):
             k = keys[l - 1] * base + d
             keys[l] = k
             counts = self._counts[l]
-            c = counts.get(k, 0) + 1
-            counts[k] = c
-            levels = self._levels[l]
-            if c == len(levels):
-                levels.append(1)
-                max_counts[l] = c
-            else:
-                levels[c] += 1
-                if levels[c] == levels[0]:
-                    min_counts[l] = c
+            counts[k] = counts.get(k, 0) + 1
 
     def extend(self, digits: Iterable[int]) -> None:
         for d in digits:
@@ -249,6 +232,59 @@ def _occurrence_ranks(keys: np.ndarray) -> np.ndarray:
     ranks = np.empty_like(offsets)
     ranks[order] = offsets
     return ranks
+
+
+def _window_keys(digits: Sequence[int], base: int, l_max: int) -> np.ndarray:
+    """An (l_max, len(digits)) int64 grid keying every window by where it ends.
+
+    Row l-1, column n-1 keys the window digits[n-l:n]; equal windows of one
+    length share a key, and rows share none.  The l-1 head cells of row l
+    read out-of-alphabet pad digits before digits[0], so each has a key of
+    its own.  Windows are packed in base (base + 1) below a leading 1 while
+    2 (base+1)^l_max fits in an int64.  Past that, each row pairs the dense
+    run id of a window's length-(l-1) head with its last digit's index in
+    the sorted alphabet, so no key passes l_max (len + l_max)^2 in any base.
+    """
+    n = len(digits)
+    paired = 2 * (base + 1) ** l_max > 1 << 63
+    if paired:
+        index = {d: i for i, d in enumerate(sorted(set(digits)))}
+        digits, base = [index[d] for d in digits], len(index)
+    padded = np.array([base] * (l_max - 1) + list(digits), dtype=np.int64)
+    radix = base + 1
+    keys = np.empty((l_max, n), dtype=np.int64)
+    row = padded + radix
+    for i in range(l_max):
+        if i:
+            row = row[:-1] * radix + padded[i:]
+        if paired:
+            row = np.unique(row, return_inverse=True)[1] + i * (n + l_max)
+        keys[i] = row[-n:]
+    return keys
+
+
+def _extremal_counts(digits: Sequence[int], base: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The largest and smallest count over all base^l blocks in every prefix.
+
+    Row l-1, column n-1 of each (l_max, len(digits)) array holds the counts
+    of length l in digits[:n], read at n >= l; the smallest is 0 while any
+    block is unseen.  The largest is the running maximum of occurrence rank
+    + 1.  Ranking the (length, rank) pairs finds the windows that are the
+    base^l-th block to reach their rank, and the smallest is their running
+    number.  Head cells rank 0, which lifts no maximum past a real window's,
+    and pair with rank len(digits): a group of fewer than base^l cells of
+    its own, so they fill no level.
+    """
+    n = len(digits)
+    ranks = _occurrence_ranks(_window_keys(digits, base, l_max).ravel()).reshape(l_max, n)
+    max_counts = np.maximum.accumulate(ranks, axis=1) + 1
+    rows = np.arange(l_max)[:, None]
+    ranks[np.arange(n) < rows] = n
+    ranks += rows * (n + 1)
+    pair_ranks = _occurrence_ranks(ranks.ravel()).reshape(l_max, n)
+    # no pair ranks n or more, so a length with base^l > n fills no level
+    last = np.array([min(base**l, n + 1) - 1 for l in range(1, l_max + 1)])
+    return max_counts, np.cumsum(pair_ranks == last[:, None], axis=1)
 
 
 def _validate_block_args(w: DigitWord, l: int) -> None:

@@ -50,6 +50,7 @@ import numpy as np
 from .base_arith import (
     DigitWord,
     Rational,
+    _expansion,
     as_unit,
     atomic_write_text,
     digits_prefix,
@@ -185,6 +186,9 @@ class StepChoice:
     """Outcome of one selection step; substage 1 drew restricted blocks.
 
     The point after the step is the final xi truncated after b_m - 2 base-u digits.
+    The chosen block is kept as one integer, block_value: its b_m - a_m - 2
+    digits read in base u, each below alphabet.  digit_block spells it out
+    on demand, so a run's trace holds no per-digit copy of its blocks.
     """
 
     m: int
@@ -192,16 +196,24 @@ class StepChoice:
     u: int
     a_m: int
     b_m: int
-    digit_block: DigitWord
+    alphabet: int
+    block_value: int
     objective: float
     objective_mean: float
     candidates_examined: int
     k: int = 0
 
     @property
+    def digit_block(self) -> DigitWord:
+        """The chosen block as a word over the alphabet it was drawn from."""
+        width = self.b_m - self.a_m - 2
+        digits, _ = _expansion(self.block_value, self.u**width, self.u, width)
+        return DigitWord(self.alphabet, tuple(digits))
+
+    @property
     def filter_vacuous(self) -> bool:
         """True when the block is too short for the filter to apply."""
-        return len(self.digit_block) <= DEFAULT_N
+        return self.b_m - self.a_m - 2 <= DEFAULT_N
 
 
 def select_step(
@@ -252,7 +264,8 @@ def select_step(
             best = (key, word)
     (best_obj, _), best_word = best
     return StepChoice(
-        m=m, substage=substage, u=u, a_m=a_pos, b_m=b_pos, digit_block=best_word,
+        m=m, substage=substage, u=u, a_m=a_pos, b_m=b_pos, alphabet=alphabet,
+        block_value=DigitWord(u, best_word.digits).as_int(),
         objective=best_obj, objective_mean=total_obj / params.samples,
         candidates_examined=params.samples,
     )
@@ -666,7 +679,7 @@ def run_construction(
                 sched = Schedule(tuple(u), plan.growth)
                 choice = select_step(num, m, sched, substage, alphabet, params)
                 block = choice.digit_block.digits
-                num = num * v ** (len(block) + 2) + DigitWord(v, block).as_int() * v**2
+                num = num * v ** (len(block) + 2) + choice.block_value * v**2
                 stage_digits.extend(block)
                 stage_digits.append(0)
                 stage_digits.append(0)

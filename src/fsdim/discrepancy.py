@@ -10,6 +10,10 @@ routine below and persisted in a plain-text config. At the calibrated values,
 at least about half of all uniform random words pass, so rejection sampling
 of good words stays cheap. A word no longer than DEFAULT_N passes vacuously,
 so sample_good_string returns its first draw at such lengths untested.
+
+A tested word's deviations at every prefix come from one numpy pass over
+its block-count ranks (blockstats._extremal_counts), and the filter compares
+all of them at once with a threshold table that grows on demand per C.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
+import numpy as np
+
 from fsdim.base_arith import DigitWord, atomic_write_text
-from fsdim.blockstats import BlockCounter
+from fsdim.blockstats import _extremal_counts
 
 __all__ = [
     "DEFAULT_C",
@@ -160,35 +166,50 @@ def _deviation_threshold(c: float, n: int) -> float:
     return c * math.sqrt(math.log(math.log(n))) / math.sqrt(n)
 
 
-def _extremal_deviations(word: DigitWord) -> Iterator[tuple[int, float]]:
-    """Yield (n, dev) for every prefix length n >= DEFAULT_N that a block still fits.
+# C -> _deviation_threshold(C, n) for n = DEFAULT_N, DEFAULT_N + 1, ...
+_THRESHOLDS: dict[float, np.ndarray] = {}
 
-    dev is the largest of max_counts[l]/n - b^-l and b^-l - min_counts[l]/n over
+
+def _thresholds(c: float, count: int) -> np.ndarray:
+    """The first count entries of C's threshold table, grown on demand."""
+    table = _THRESHOLDS.get(c, np.empty(0))
+    if table.size < count:
+        ns = range(DEFAULT_N + table.size, DEFAULT_N + max(count, 2 * table.size))
+        grown = np.fromiter((_deviation_threshold(c, n) for n in ns), np.float64, len(ns))
+        table = _THRESHOLDS[c] = np.concatenate((table, grown))
+        table.flags.writeable = False  # callers get views of the shared table
+    return table[:count]
+
+
+def _deviation_array(word: DigitWord) -> np.ndarray:
+    """dev at every prefix length n = DEFAULT_N .. |w| - 1, in one numpy pass.
+
+    dev is the largest of max_count/n - b^-l and b^-l - min_count/n over
     the block lengths 1 <= l <= min(|w| - DEFAULT_N, Z_LEN_CAP) with
-    n <= |w| - l.  Only the extremal counts can break the two-sided
-    frequency bound, so one streaming pass serves every prefix.
+    n <= |w| - l, where max_count and min_count are the extremal
+    occurrence counts over all b^l blocks of length l in w_1^n.  Only the
+    extremal counts can break the two-sided frequency bound.  Each cell
+    takes the float operations of a per-prefix scalar loop, so every
+    value is bit-identical to one.
     """
     base, total = word.base, len(word)
     if total <= DEFAULT_N:
         raise WordTooShortError(f"word length {total} does not exceed N_{base} = {DEFAULT_N}")
     l_max = min(total - DEFAULT_N, Z_LEN_CAP)
-    counter = BlockCounter(base, l_max)
-    max_counts, min_counts = counter.max_counts, counter.min_counts
-    inv = [0.0] + [base**-l for l in range(1, l_max + 1)]
     # the full word (n = total) leaves no room for any block, so it is not read
-    for n, d in enumerate(word.digits[:-1], start=1):
-        counter.push(d)
-        if n < DEFAULT_N:
-            continue
-        dev = -math.inf
-        for l in range(1, min(l_max, total - n) + 1):
-            hi = max_counts[l] / n - inv[l]
-            lo = inv[l] - min_counts[l] / n
-            if hi > dev:
-                dev = hi
-            if lo > dev:
-                dev = lo
-        yield n, dev
+    max_counts, min_counts = _extremal_counts(word.digits[:-1], base, l_max)
+    n = np.arange(DEFAULT_N, total)
+    inv = np.array([base**-l for l in range(1, l_max + 1)])[:, None]
+    dev = np.maximum(max_counts[:, DEFAULT_N - 1:] / n - inv,
+                     inv - min_counts[:, DEFAULT_N - 1:] / n)
+    for l in range(2, l_max + 1):
+        dev[l - 1, total - l - DEFAULT_N + 1:] = -math.inf  # n > |w| - l has no room for l
+    return dev.max(axis=0)
+
+
+def _extremal_deviations(word: DigitWord) -> Iterator[tuple[int, float]]:
+    """(n, dev) for every prefix length n >= DEFAULT_N, as _deviation_array gives them."""
+    return zip(range(DEFAULT_N, len(word)), _deviation_array(word).tolist())
 
 
 def low_discrepancy_test(word: DigitWord, params: DiscrepancyParams) -> bool:
@@ -196,24 +217,19 @@ def low_discrepancy_test(word: DigitWord, params: DiscrepancyParams) -> bool:
 
     Checks |N(z, w_1^n)/n - b^-|z|| < C_b sqrt(log log n)/sqrt(n) for all
     blocks z with 1 <= |z| <= min(|w| - DEFAULT_N, Z_LEN_CAP) and all
-    prefixes n with DEFAULT_N <= n <= |w| - |z|, stopping at the first
-    prefix that fails.
+    prefixes n with DEFAULT_N <= n <= |w| - |z|, comparing every prefix's
+    deviation with its threshold at once.
     """
     c = params.c_for(word.base)
-    for n, dev in _extremal_deviations(word):
-        if dev >= _deviation_threshold(c, n):
-            return False
-    return True
+    dev = _deviation_array(word)
+    return not (dev >= _thresholds(c, dev.size)).any()
 
 
 def discrepancy_statistic(word: DigitWord) -> float:
     """Smallest C that this word passes (sup of deviation / threshold shape)."""
-    stat = 0.0
-    for n, dev in _extremal_deviations(word):
-        scale = math.sqrt(n) / math.sqrt(math.log(math.log(n)))
-        if dev * scale > stat:
-            stat = dev * scale
-    return stat
+    # max_count >= min_count makes every dev >= 0, so the sup needs no floor at 0
+    return max(dev * (math.sqrt(n) / math.sqrt(math.log(math.log(n))))
+               for n, dev in _extremal_deviations(word))
 
 
 def sample_good_string(

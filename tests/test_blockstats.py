@@ -13,6 +13,7 @@ from fsdim import blockstats
 from fsdim.base_arith import DigitWord
 from fsdim.blockstats import (
     BlockCounter,
+    _extremal_counts,
     _occurrence_ranks,
     _packed_key_array,
     block_counts,
@@ -22,6 +23,8 @@ from fsdim.blockstats import (
     occurrence_count,
     prefix_entropies,
 )
+from fsdim.discrepancy import DEFAULT_N, _extremal_deviations
+from test_discrepancy import _naive_extremal_deviations
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +145,7 @@ def test_entropy_relabeling_symmetry(base, data):
 
 
 # ---------------------------------------------------------------------------
-# Streaming counter
+# Streaming counter and batch extremal counts
 
 
 def test_streaming_counts_equal_naive_recount():
@@ -162,25 +165,27 @@ def test_streaming_counts_equal_naive_recount():
             assert dict(batch.counts) == naive_counts(word, l)
 
 
-def test_streaming_extremal_counts():
-    # max_counts and min_counts are current after every push, not only at the end
+def test_batch_extremal_counts():
+    # the batch pass gives every prefix's extremal counts, not only the whole word's
     rng = random.Random(7)
     climbed = set()
     for i in range(30):
         base, l_max = 2 + i % 5, 1 + i % 6  # every pair of base 2-6 and l_max 1-6
         n = rng.randrange(base * 8, 320)
         word = rand_word(rng, base, n)
-        counter = BlockCounter(base, l_max)
-        for m, d in enumerate(word.digits, start=1):
-            counter.push(d)
+        max_counts, min_counts = _extremal_counts(word.digits, base, l_max)
+        for m in range(1, n + 1):
             prefix = word.prefix(m)
             for l in range(1, min(l_max, m) + 1):
                 counts = naive_counts(prefix, l)
                 expected_min = min(counts.values()) if len(counts) == base**l else 0
-                assert counter.max_counts[l] == max(counts.values())
-                assert counter.min_counts[l] == expected_min
+                assert max_counts[l - 1, m - 1] == max(counts.values())
+                assert min_counts[l - 1, m - 1] == expected_min
                 if expected_min > 1:
                     climbed.add((base, l))
+        if n > DEFAULT_N:
+            # the filter's deviations, read from these counts, match a recount
+            assert list(_extremal_deviations(word)) == _naive_extremal_deviations(word)
     # the minimum leaves 0 and climbs in every base, and past l = 1 somewhere
     assert {b for b, _ in climbed} == {2, 3, 4, 5, 6}
     assert any(l > 1 for _, l in climbed)

@@ -16,6 +16,7 @@ from fsdim.constructor import (
     ConstructionParams,
     ConstructionTrace,
     StageBounds,
+    StepChoice,
     _audit_stability,
     check_requirements,
     delta_k,
@@ -864,6 +865,23 @@ def test_step_choices_hold_no_points():
         for f in dataclasses.fields(step):
             value = getattr(step, f.name)
             assert isinstance(value, (int, float, bool, DigitWord)), (step.m, f.name, value)
+
+
+def test_step_choices_keep_each_block_as_one_integer():
+    # a step keeps its block as the base-u integer the run adds into its
+    # point, and digit_block spells it out over the alphabet it was drawn from
+    trace = _golden_trace("1class")
+    assert {s.substage for s in trace.steps} == {1, 2}
+    for step in trace.steps:
+        block = step.digit_block
+        assert step.block_value == DigitWord(step.u, block.digits).as_int()
+        assert block.base == step.alphabet == (2 if step.substage == 1 else 4)
+        assert len(block) == step.b_m - step.a_m - 2
+    # no field can hold a per-digit copy of the block
+    for f in dataclasses.fields(StepChoice):
+        assert "DigitWord" not in str(f.type) and "tuple" not in str(f.type), f
+        for step in trace.steps:
+            assert not isinstance(getattr(step, f.name), (DigitWord, tuple)), (step.m, f.name)
 
 
 def test_run_construction_rejects_unfiltered_bases_before_any_step(monkeypatch):

@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fsdim import discrepancy
 from fsdim.base_arith import DigitWord
 from fsdim.blockstats import occurrence_count
 from fsdim.discrepancy import (
@@ -16,6 +19,7 @@ from fsdim.discrepancy import (
     DiscrepancyParams,
     FilterGiveUp,
     WordTooShortError,
+    _deviation_threshold,
     _extremal_deviations,
     calibrate,
     discrepancy_statistic,
@@ -82,7 +86,7 @@ def test_word_too_short_raises():
 
 
 def test_filter_deviations_match_occurrence_count():
-    # The streaming scan sees exactly the counts occurrence_count reports.
+    # The filter sees exactly the counts occurrence_count reports.
     rng = random.Random(5)
     word = DigitWord(2, tuple(rng.randrange(2) for _ in range(120)))
     params = params_for_tests()
@@ -152,6 +156,41 @@ def test_filter_deviations_match_a_naive_recount_in_any_base(base):
     words.append(DigitWord(base, (0, 1, 1) * 40))
     for word in words:
         assert list(_extremal_deviations(word)) == _naive_extremal_deviations(word)
+
+
+@st.composite
+def _words(draw):
+    base = draw(st.sampled_from([2, 3, 4, 5, 6, 2000]))
+    length = draw(st.integers(51, 160))
+    # a skewed word draws most digits from a sub-alphabet, so some blocks
+    # arrive late and the min counts leave 0 partway through the word
+    common = draw(st.integers(1, base))
+    stray = draw(st.sampled_from([0.0, 0.03, 0.2, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return DigitWord(base, tuple(
+        rng.randrange(base) if rng.random() < stray else rng.randrange(common)
+        for _ in range(length)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_words())
+def test_batch_deviations_equal_a_naive_recount(word):
+    got = list(_extremal_deviations(word))
+    assert [(n, dev.hex()) for n, dev in got] == [
+        (n, dev.hex()) for n, dev in _naive_extremal_deviations(word)]
+
+
+def test_threshold_table_is_the_scalar_threshold(monkeypatch):
+    monkeypatch.setattr(discrepancy, "_THRESHOLDS", {})
+    ns = range(DEFAULT_N, 5001)
+    for c in DEFAULT_C.values():
+        first = discrepancy._thresholds(c, 10)
+        before = first.tolist()
+        table = discrepancy._thresholds(c, len(ns))
+        # growing the table leaves the entries already handed out as they were
+        assert first.tolist() == before == table[:10].tolist()
+        assert [t.hex() for t in table.tolist()] == [
+            _deviation_threshold(c, n).hex() for n in ns]
 
 
 def test_statistic_is_exact_pass_boundary():
