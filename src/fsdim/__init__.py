@@ -21,7 +21,6 @@ from fsdim.blockstats import (
     BlockCounter,
     BlockDistribution,
     EntropyProfile,
-    block_counts,
     block_entropy,
     dimension_estimate,
     entropy_profile,

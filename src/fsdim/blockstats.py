@@ -3,21 +3,24 @@
 Counts are over overlapping windows: a length-l block starting at every
 position 1..n-l+1 of a length-n word. Counts are exact integers; only
 the final log-sum is evaluated in floating point, with natural logs
-normalized by l*ln(base) so values land in [0, 1].  Entropies are read
-in batch, at one prefix or at many in one pass (:func:`prefix_entropies`).
-The low-discrepancy filter reads every prefix's extremal counts of every
-block length in two rank passes (:func:`_extremal_counts`).  The streaming
-:class:`BlockCounter` counts digits pushed one at a time.
-No table of base^l slots is built: the counter keeps its counts in dicts,
-and the batch readers sort int64 keys, so any base works and only an
-entropy read with base^l > 2^63 is refused.
+normalized by l*ln(base) so values land in [0, 1].  Entropies H_1..H_l
+are read in batch at one prefix or at many in one call
+(:func:`prefix_entropies`).  The low-discrepancy filter reads every
+prefix's extremal counts of every block length in two rank passes
+(:func:`_extremal_counts`).  Both key their windows through
+:func:`_window_keys`.  The streaming :class:`BlockCounter` counts digits
+pushed one at a time.  No table of base^l slots is built: the counter
+keeps its counts in dicts and the batch readers rank window keys that
+never overflow, so any base and any length work.  Only
+:func:`block_entropy`, the independent reference, packs each window into
+one int64 key and refuses base^l > 2^63.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -27,7 +30,6 @@ __all__ = [
     "BlockCounter",
     "BlockDistribution",
     "EntropyProfile",
-    "block_counts",
     "block_entropy",
     "dimension_estimate",
     "entropy_profile",
@@ -40,13 +42,6 @@ def _check_block_args(base: int, l: int) -> None:
         raise ValueError(f"base must be at least 2, got {base}")
     if l < 1:
         raise ValueError(f"block length must be positive, got {l}")
-
-
-def _check_key_range(base: int, l: int) -> None:
-    # the batch readers pack each window into one int64 key below base^l
-    _check_block_args(base, l)
-    if base**l > 1 << 63:
-        raise ValueError(f"{base}^{l} blocks overflow the int64 block keys")
 
 
 def occurrence_count(z: DigitWord, w: DigitWord) -> int:
@@ -146,19 +141,18 @@ def _packed_key_array(digits: np.ndarray, base: int, l: int) -> np.ndarray:
     return keys
 
 
-def block_counts(w: DigitWord, l: int) -> BlockDistribution:
-    """Distribution of length-l blocks of w (vectorized batch count)."""
-    _validate_block_args(w, l)
-    base = w.base
-    arr = np.asarray(w.digits, dtype=np.int64)
-    keys, counts = np.unique(_packed_key_array(arr, base, l), return_counts=True)
-    mapping = {_unpack_key(k, base, l): c for k, c in zip(keys.tolist(), counts.tolist())}
-    return BlockDistribution(base, l, mapping, len(w) - l + 1)
-
-
 def block_entropy(w: DigitWord, l: int) -> float:
-    """Normalized block entropy H_l of the whole word (batch evaluation)."""
-    _validate_block_args(w, l)
+    """Normalized block entropy H_l of the whole word, counted with np.unique.
+
+    This is the independent reference the tests check prefix_entropies
+    against.  It packs each window into one int64 key below base^l, so it
+    refuses base^l > 2^63.
+    """
+    _check_block_args(w.base, l)
+    if w.base**l > 1 << 63:
+        raise ValueError(f"{w.base}^{l} blocks overflow the int64 block keys")
+    if l > len(w):
+        raise ValueError(f"block length {l} exceeds word length {len(w)}")
     arr = np.asarray(w.digits, dtype=np.int64)
     c = np.unique(_packed_key_array(arr, w.base, l), return_counts=True)[1].astype(np.float64)
     total = np.array([len(w) - l + 1])
@@ -166,47 +160,53 @@ def block_entropy(w: DigitWord, l: int) -> float:
 
 
 def prefix_entropies(
-    digits: Sequence[int], base: int, l: int, ends: Sequence[int]
+    digits: Sequence[int], base: int, l_max: int, ends: Sequence[int]
 ) -> np.ndarray:
-    """H_l of every prefix digits[:n], n in ends, in one numpy pass.
+    """H_1..H_l_max of every prefix digits[:n], n in ends, in one call.
 
-    Each window's occurrence rank (how many earlier windows hold the same
+    Row l-1, column j of the result is H_l of digits[:ends[j]], or NaN
+    where that prefix is shorter than l.  Rows stop at l_max or at the
+    longest prefix, whichever is shorter, since no longer block fits.  Each
+    window's occurrence rank (how many earlier windows hold the same
     block) picks the increment (c+1)ln(c+1) - c ln c that its arrival adds
     to sum c ln c, and a cumulative sum in window order gives that sum at
     every prefix.  The additions are those of a running sum updated once
     per window, in the same order, so each value is bit-identical to it.
+    One length is ranked at a time, so memory stays O(len(digits)).
     """
-    _check_key_range(base, l)
+    _check_block_args(base, l_max)
     ends = np.asarray(ends, dtype=np.int64)
     lo, hi = int(ends.min()), int(ends.max())
-    if lo < l or hi > len(digits):
-        raise ValueError(f"prefix lengths {lo}..{hi} outside {l}..{len(digits)}")
-    arr = np.asarray(digits[:hi], dtype=np.int64)
+    if lo < 1 or hi > len(digits):
+        raise ValueError(f"prefix lengths {lo}..{hi} outside 1..{len(digits)}")
+    arr = np.asarray(digits[:hi], dtype=np.int64 if base <= 1 << 63 else object)
     if arr.min() < 0 or arr.max() >= base:
         raise ValueError(f"digits out of range for base {base}")
-    return _prefix_entropies(arr, base, l, ends, np.zeros(1))[0]
+    l_max = min(l_max, hi)
+    rows = _window_keys(arr, base, l_max)
+    del arr  # the rows keep their own padded copy
+    out = np.full((l_max, ends.size), np.nan)
+    for l, keys in enumerate(rows, 1):
+        ranks = _occurrence_ranks(keys)
+        if l == 1:  # occurrence ranks only fall as l grows, so this table serves every l
+            inc = _increments(int(ranks.max()))
+        sums = inc[ranks]
+        del ranks  # summed in place: one window-sized array at a time
+        np.cumsum(sums, out=sums)
+        reached = ends >= l
+        out[l - 1, reached] = _entropy_from_sums(
+            sums[ends[reached] - 1], ends[reached] - l + 1, l, base)
+        del sums  # before the next row is ranked
+    return out
 
 
-def _prefix_entropies(
-    arr: np.ndarray, base: int, l: int, ends: np.ndarray, inc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """prefix_entropies of checked digits, and the increment table it read.
-
-    inc[c] = (c+1)ln(c+1) - c ln c; a table too short for the ranks of
-    this l is rebuilt to their maximum, and a longer one is read as is.
-    """
-    ranks = _occurrence_ranks(_packed_key_array(arr, base, l))
-    top = int(ranks.max())
-    if top >= inc.size:
-        # math.log, not np.log, for the reason given in _entropy_from_sums
-        ln = np.fromiter(map(math.log, range(1, top + 2)), np.float64, top + 1)  # ln c at c-1
-        c = np.arange(1, top + 1, dtype=np.float64)
-        inc = np.concatenate(([0.0], (c + 1) * ln[1:] - c * ln[:-1]))
-    sums = inc[ranks]
-    del ranks  # summed in place: one window-sized array at a time
-    np.cumsum(sums, out=sums)
-    totals = ends - l + 1
-    return _entropy_from_sums(sums[totals - 1], totals, l, base), inc
+def _increments(top: int) -> np.ndarray:
+    """inc[c] = (c+1)ln(c+1) - c ln c for c = 0..top: what sum c ln c gains
+    when one count steps from c to c + 1."""
+    # math.log, not np.log, for the reason given in _entropy_from_sums
+    ln = np.fromiter(map(math.log, range(1, top + 2)), np.float64, top + 1)  # ln c at c-1
+    c = np.arange(1, top + 1, dtype=np.float64)
+    return np.concatenate(([0.0], (c + 1) * ln[1:] - c * ln[:-1]))
 
 
 def _occurrence_ranks(keys: np.ndarray) -> np.ndarray:
@@ -234,33 +234,37 @@ def _occurrence_ranks(keys: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _window_keys(digits: Sequence[int], base: int, l_max: int) -> np.ndarray:
-    """An (l_max, len(digits)) int64 grid keying every window by where it ends.
+def _window_keys(digits: Sequence[int], base: int, l_max: int) -> Iterator[np.ndarray]:
+    """The int64 keys of every window, one row of len(digits) per length 1..l_max.
 
-    Row l-1, column n-1 keys the window digits[n-l:n]; equal windows of one
-    length share a key, and rows share none.  The l-1 head cells of row l
-    read out-of-alphabet pad digits before digits[0], so each has a key of
-    its own.  Windows are packed in base (base + 1) below a leading 1 while
-    2 (base+1)^l_max fits in an int64.  Past that, each row pairs the dense
-    run id of a window's length-(l-1) head with its last digit's index in
-    the sorted alphabet, so no key passes l_max (len + l_max)^2 in any base.
+    Column n-1 of row l-1 keys the window digits[n-l:n], so each window
+    is keyed by where it ends.  Equal windows of one length share a key,
+    and rows share none.  The l-1 head cells of row l read out-of-alphabet
+    pad digits before digits[0], so each has a key of its own.  Windows are
+    packed in base (base + 1) below a leading 1 while 2 (base+1)^l_max fits
+    in an int64.  Past that, each row pairs the dense run id of a window's
+    length-(l-1) head with its last digit's index in the sorted alphabet,
+    so no key passes l_max (len + l_max)^2 in any base.  Row l is built
+    from row l-1, so a caller that drops each row before asking for the
+    next holds two rows at a time.
     """
     n = len(digits)
     paired = 2 * (base + 1) ** l_max > 1 << 63
     if paired:
-        index = {d: i for i, d in enumerate(sorted(set(digits)))}
-        digits, base = [index[d] for d in digits], len(index)
-    padded = np.array([base] * (l_max - 1) + list(digits), dtype=np.int64)
+        alphabet, digits = np.unique(digits, return_inverse=True)
+        base = alphabet.size
+    # the smallest dtype holding the pad digit: the rows are int64
+    padded = np.full(l_max - 1 + n, base, dtype=np.min_scalar_type(base))
+    padded[l_max - 1:] = digits
+    del digits  # the caller may drop its copy: the rows read padded alone
     radix = base + 1
-    keys = np.empty((l_max, n), dtype=np.int64)
-    row = padded + radix
+    row = padded.astype(np.int64) + radix
     for i in range(l_max):
         if i:
             row = row[:-1] * radix + padded[i:]
         if paired:
             row = np.unique(row, return_inverse=True)[1] + i * (n + l_max)
-        keys[i] = row[-n:]
-    return keys
+        yield row[-n:]
 
 
 def _extremal_counts(digits: Sequence[int], base: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +280,10 @@ def _extremal_counts(digits: Sequence[int], base: int, l_max: int) -> tuple[np.n
     its own, so they fill no level.
     """
     n = len(digits)
-    ranks = _occurrence_ranks(_window_keys(digits, base, l_max).ravel()).reshape(l_max, n)
+    keys = np.empty((l_max, n), dtype=np.int64)
+    for i, row in enumerate(_window_keys(digits, base, l_max)):
+        keys[i] = row
+    ranks = _occurrence_ranks(keys.ravel()).reshape(l_max, n)
     max_counts = np.maximum.accumulate(ranks, axis=1) + 1
     rows = np.arange(l_max)[:, None]
     ranks[np.arange(n) < rows] = n
@@ -285,12 +292,6 @@ def _extremal_counts(digits: Sequence[int], base: int, l_max: int) -> tuple[np.n
     # no pair ranks n or more, so a length with base^l > n fills no level
     last = np.array([min(base**l, n + 1) - 1 for l in range(1, l_max + 1)])
     return max_counts, np.cumsum(pair_ranks == last[:, None], axis=1)
-
-
-def _validate_block_args(w: DigitWord, l: int) -> None:
-    _check_key_range(w.base, l)
-    if l > len(w):
-        raise ValueError(f"block length {l} exceeds word length {len(w)}")
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,7 @@ class EntropyProfile:
 
 
 def entropy_profile(w: DigitWord, l_max: int, checkpoints: Sequence[int]) -> EntropyProfile:
-    """H_l at every checkpoint prefix, one batch pass per block length."""
+    """H_l at every checkpoint prefix n >= l, read by one prefix_entropies call."""
     cps = sorted(set(int(n) for n in checkpoints))
     if not cps:
         raise ValueError("need at least one checkpoint")
@@ -322,16 +323,8 @@ def entropy_profile(w: DigitWord, l_max: int, checkpoints: Sequence[int]) -> Ent
         raise ValueError(f"checkpoints must be positive, got {cps[0]}")
     if cps[-1] > len(w):
         raise ValueError(f"checkpoint {cps[-1]} beyond word length {len(w)}")
-    _check_key_range(w.base, min(l_max, cps[-1]))
-    arr = np.asarray(w.digits[: cps[-1]], dtype=np.int64)
-    table: dict[tuple[int, int], float] = {}
-    # occurrence ranks only fall as l grows, so the table built at l = 1 serves every l
-    inc = np.zeros(1)
-    for l in range(1, min(l_max, cps[-1]) + 1):
-        ends = [n for n in cps if n >= l]
-        entropies, inc = _prefix_entropies(arr, w.base, l, np.array(ends, dtype=np.int64), inc)
-        for n, h in zip(ends, entropies.tolist()):
-            table[(l, n)] = h
+    rows = prefix_entropies(w.digits, w.base, l_max, cps).tolist()
+    table = {(l, n): h for l, row in enumerate(rows, 1) for n, h in zip(cps, row) if n >= l}
     return EntropyProfile(w.base, l_max, tuple(cps), table)
 
 

@@ -385,13 +385,8 @@ def _prefix_deviation(
         raise ValueError(f"prefixes {n_from}..{len(digits)} hold no reading")
     if n_from < l_hi:
         return math.inf
-    arr = np.asarray(digits, dtype=np.int64)
-    ends = np.arange(n_from, arr.size + 1)
-    dev = -math.inf
-    for l in range(1, l_hi + 1):
-        hs = prefix_entropies(arr, base, l, ends)
-        dev = max(dev, float((target - hs if shortfall else np.abs(hs - target)).max()))
-    return dev
+    hs = prefix_entropies(digits, base, l_hi, np.arange(n_from, len(digits) + 1))
+    return float((target - hs if shortfall else np.abs(hs - target)).max())
 
 
 def _point_deviation(
@@ -551,7 +546,7 @@ def second_substage_done(
                 vacuous=True, detail="next stage base has not appeared before",
             )
         else:
-            n_w = angle_base(plan.growth.angle(m + 1), w)
+            n_w = sched.angle_base(m + 1, w)
             xi = value_of_word(DigitWord(v, tuple(digits)))
             dev_w = _point_deviation(xi, w, l_hi, 1.0, n_w, n_w)
             yield ConditionVerdict(
@@ -608,19 +603,23 @@ class ConstructionTrace:
         prev = self.stage(k - 1)
         if prev.p2 is None:
             raise ValueError(f"stage {k - 1} is incomplete")
-        return angle_base(self.plan.growth.angle(prev.p2 + 1), self.stage(k).v) + 1
+        return self.digits_fixed_after(prev.p2, self.stage(k).v) + 1
 
     def first_checkpoint(self, k: int) -> int:
         """Prefix length at which the restricted substage was judged."""
         sb = self.stage(k)
-        return angle_base(self.plan.growth.angle(sb.p1 + 1), sb.v)
+        return self.digits_fixed_after(sb.p1, sb.v)
 
     def second_checkpoint(self, k: int) -> int:
         """Prefix length at which the full-alphabet substage was judged."""
         sb = self.stage(k)
         if sb.p2 is None:
             raise ValueError(f"stage {k} is incomplete")
-        return angle_base(self.plan.growth.angle(sb.p2 + 1), sb.v)
+        return self.digits_fixed_after(sb.p2, sb.v)
+
+    def digits_fixed_after(self, m: int, r: int) -> int:
+        """How many base-r digits of the point step m leaves fixed."""
+        return angle_base(self.plan.growth.angle(m + 1), r)
 
     def digits_for_stage(self, k: int) -> DigitWord:
         """Stage-k digit prefix of the final point, recomputed exactly."""
@@ -797,8 +796,8 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
             continue
         held = True
         prev = trace.stage(k - 1)
-        lo = angle_base(plan.growth.angle(prev.p2 + 1), vp) + 1
-        hi = angle_base(plan.growth.angle(sb.p2 + 1), vp)
+        lo = trace.digits_fixed_after(prev.p2, vp) + 1
+        hi = trace.digits_fixed_after(sb.p2, vp)
         l_p = min(kp, L_CAP)
         dev = _point_deviation(trace.xi, vp, l_p, 1.0, lo, hi)
         out.append(verdict("other-base-hold", f"stage-{kp} base {vp}, prefixes {lo}..{hi}",
@@ -811,7 +810,7 @@ def check_requirements(trace: ConstructionTrace, k: int) -> tuple[RequirementVer
     if not repeated:
         out.append(verdict("next-base-restore", "next stage base is new or unplanned"))
     else:
-        n_w = angle_base(plan.growth.angle(sb.p2 + 1), w)
+        n_w = trace.digits_fixed_after(sb.p2, w)
         dev = _point_deviation(trace.xi, w, l_hi, 1.0, n_w, n_w)
         out.append(verdict("next-base-restore", f"base {w} prefix {n_w}", dev))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import itertools
 import math
 import os
 import random
@@ -232,6 +233,14 @@ def discrepancy_statistic(word: DigitWord) -> float:
                for n, dev in _extremal_deviations(word))
 
 
+def _uniform_words(base: int, length: int, seed) -> Iterator[DigitWord]:
+    """Uniform random words of one length, drawn one after another from one seeded stream."""
+    DigitWord(base, ())  # names a bad base before randrange meets it
+    rng = random.Random(seed)
+    while True:
+        yield DigitWord(base, tuple(rng.randrange(base) for _ in range(length)))
+
+
 def sample_good_string(
     base: int,
     length: int,
@@ -243,10 +252,7 @@ def sample_good_string(
     A word no longer than DEFAULT_N passes vacuously (the filter's prefix
     range is empty), so the first draw is returned untested.
     """
-    DigitWord(base, ())  # names a bad base before randrange meets it
-    rng = random.Random(rng_seed)
-    for _ in range(MAX_ATTEMPTS):
-        word = DigitWord(base, tuple(rng.randrange(base) for _ in range(length)))
+    for word in itertools.islice(_uniform_words(base, length, rng_seed), MAX_ATTEMPTS):
         if length <= DEFAULT_N or low_discrepancy_test(word, params):
             return word
     raise FilterGiveUp(
@@ -272,11 +278,6 @@ def calibrate(
         raise ValueError(f"target rate must be in (0, 1), got {target}")
     if samples < 10:
         raise ValueError(f"need at least 10 samples, got {samples}")
-    DigitWord(base, ())  # names a bad base before randrange meets it
-    rng = random.Random(seed)
-    stats = []
-    for _ in range(samples):
-        word = DigitWord(base, tuple(rng.randrange(base) for _ in range(length)))
-        stats.append(discrepancy_statistic(word))
-    stats.sort()
+    words = itertools.islice(_uniform_words(base, length, seed), samples)
+    stats = sorted(discrepancy_statistic(word) for word in words)
     return stats[min(samples - 1, int(round(target * samples)))]

@@ -1,5 +1,6 @@
 """Block statistics: oracle comparisons and frozen entropy values."""
 
+import hashlib
 import io
 import math
 import random
@@ -16,13 +17,13 @@ from fsdim.blockstats import (
     _extremal_counts,
     _occurrence_ranks,
     _packed_key_array,
-    block_counts,
     block_entropy,
     dimension_estimate,
     entropy_profile,
     occurrence_count,
     prefix_entropies,
 )
+from fsdim.constructor import _prefix_deviation
 from fsdim.discrepancy import DEFAULT_N, _extremal_deviations
 from test_discrepancy import _naive_extremal_deviations
 
@@ -161,8 +162,6 @@ def test_streaming_counts_equal_naive_recount():
             dist = counter.distribution(l)
             assert dict(dist.counts) == naive_counts(word, l)
             assert dist.window_total == n - l + 1
-            batch = block_counts(word, l)
-            assert dict(batch.counts) == naive_counts(word, l)
 
 
 def test_batch_extremal_counts():
@@ -223,10 +222,13 @@ def test_prefix_entropies_match_naive_oracle_at_every_prefix():
         base = rng.randrange(2, 6)
         n = rng.randrange(1, 120)
         word = rand_word(rng, base, n)
-        for l in range(1, min(6, n) + 1):
-            got = prefix_entropies(word.digits, base, l, range(l, n + 1))
+        l_max = rng.randrange(1, 8)
+        got = prefix_entropies(word.digits, base, l_max, range(1, n + 1))
+        assert got.shape == (min(l_max, n), n)  # no block longer than the word
+        for l in range(1, min(l_max, n) + 1):
             want = [naive_entropy(word.prefix(k), l) for k in range(l, n + 1)]
-            assert got.tolist() == pytest.approx(want, abs=1e-12)
+            assert got[l - 1, l - 1:].tolist() == pytest.approx(want, abs=1e-12)
+            assert np.isnan(got[l - 1, :l - 1]).all()  # no length-l window fits
 
 
 def running_count_ranks(keys) -> list[int]:
@@ -286,21 +288,67 @@ def test_occurrence_ranks_match_running_count(monkeypatch, base, l, top):
     got = prefix_entropies(digits, base, l, ends)
     monkeypatch.setattr(blockstats, "_occurrence_ranks", searchsorted_ranks)
     want = prefix_entropies(digits, base, l, ends)
-    assert [h.hex() for h in got.tolist()] == [h.hex() for h in want.tolist()]
+    assert [h.hex() for h in got.ravel().tolist()] == [h.hex() for h in want.ravel().tolist()]
 
 
 def test_prefix_entropies_validation():
     digits = (0, 1, 1, 0, 1)
     with pytest.raises(ValueError):
         prefix_entropies(digits, 2, 0, [3])
-    with pytest.raises(ValueError, match="int64"):
-        prefix_entropies((0,) * 70, 2, 64, [70])  # 2^64 keys overflow int64
+    # 2^64 blocks: the window keys never overflow int64
+    assert prefix_entropies((0,) * 70, 2, 64, [70])[63].tolist() == [0.0]
     with pytest.raises(ValueError):
-        prefix_entropies(digits, 2, 3, [2, 5])  # prefix shorter than the block
+        prefix_entropies(digits, 2, 3, [0, 5])  # the empty prefix holds no window
+    # a prefix shorter than the block holds no window of it
+    assert np.isnan(prefix_entropies(digits, 2, 3, [2, 5])[2, 0])
     with pytest.raises(ValueError):
         prefix_entropies(digits, 2, 1, [6])  # prefix longer than the word
     with pytest.raises(ValueError):
         prefix_entropies(digits, 1, 1, [5])
+    with pytest.raises(ValueError):
+        prefix_entropies((0, 2), 2, 1, [2])  # digit out of range
+
+
+@pytest.mark.parametrize("base, l_max", [(2, 64), (4, 32), (2000, 6), (2**61, 2), (2**70, 2)])
+def test_entropy_reads_past_int64_block_keys_match_naive(base, l_max):
+    # base^l_max > 2^63: every reader keys windows by dense run ids instead
+    assert base**l_max > 1 << 63
+    rng = random.Random(base)
+    if base == 2:
+        word = DigitWord(2, (0,) * 70)
+    else:
+        # a few digits, the largest among them, so windows repeat at every length
+        alphabet = [0, 1, base - 1]
+        periodic = tuple(alphabet[i % 3] for i in range(30))
+        word = DigitWord(base, periodic + tuple(rng.choice(alphabet) for _ in range(l_max + 40)))
+    n = len(word)
+    got = prefix_entropies(word.digits, base, l_max, range(1, n + 1))
+    profile = entropy_profile(word, l_max, range(1, n + 1))
+    for l in range(1, l_max + 1):
+        for k in range(l, n + 1):
+            want = naive_entropy(word.prefix(k), l)
+            assert got[l - 1, k - 1] == pytest.approx(want, abs=1e-12), (l, k)
+            assert profile.entropy(l, k) == got[l - 1, k - 1]
+    dev = _prefix_deviation(word.digits, base, l_max, 1.0, l_max)
+    assert dev == float(np.abs(got[:, l_max - 1:] - 1.0).max())
+
+
+def test_entropy_reads_keep_their_bits():
+    # float.hex of a profile and of prefix deviations, recorded before the
+    # readers moved onto the shared window keys
+    rng = random.Random(20_000)
+    word = DigitWord(4, tuple(rng.randrange(4) for _ in range(20_000)))
+    cps = list(range(1, 8)) + list(range(97, 20_000, 97)) + [20_000]
+    profile = entropy_profile(word, 6, cps)
+    rows = "".join(f"{l},{n},{h.hex()}\n" for (l, n), h in sorted(profile.table.items()))
+    assert len(profile.table) == 1269
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "673fac875e7b1f314210afa56f48a8d115bcd295b1766d60c79373a0a5095960")
+    devs = [_prefix_deviation(word.digits, 4, l_hi, target, n_from, shortfall).hex()
+            for l_hi in range(1, 5) for n_from in (l_hi, 200, 5000, 20_000)
+            for target in (0.5, 0.999) for shortfall in (False, True)]
+    assert hashlib.sha256(" ".join(devs).encode()).hexdigest() == (
+        "0b125ef53702e41be84f3704f86ebe228906826abb330e670a4c1b828f6b2ef1")
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +378,9 @@ def test_entropy_profile_validation():
         entropy_profile(word, 2, [5, 100])
     with pytest.raises(ValueError):
         entropy_profile(word, 0, [5])
-    # only the lengths a checkpoint reaches need int64 keys
+    # only the lengths a checkpoint reaches are read, at any base^l
     assert entropy_profile(word, 64, [5]).entropy(5, 5) == 0.0
-    with pytest.raises(ValueError, match="int64"):
-        entropy_profile(DigitWord(2, (0,) * 70), 64, [70])
+    assert entropy_profile(DigitWord(2, (0,) * 70), 64, [70]).entropy(64, 70) == 0.0
 
 
 def test_profile_csv_format():

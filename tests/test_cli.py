@@ -11,6 +11,7 @@ from fsdim.base_arith import DigitWord, read_digit_file, write_digit_file
 from fsdim.cli import _build_parser, main
 from fsdim.constructor import ConstructionParams
 from fsdim.discrepancy import DiscrepancyParams
+from test_blockstats import naive_entropy
 
 
 @pytest.fixture()
@@ -127,6 +128,17 @@ def test_analyze_reads_only_lengths_the_windows_can_fill(tmp_path, capsys):
     path.write_text("base=4\n0 1 2\n")  # too short for even H_1 to reach 1
     assert main(["analyze", str(path), "--lmax", "9", "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: too few digits")
+
+
+def test_analyze_reads_lengths_past_int64_block_keys(tmp_path, capsys):
+    # 4^32 > 2^63 blocks of length 32: the window keys never overflow
+    word = DigitWord(4, (0, 1, 2, 3) * 100)
+    path = tmp_path / "quads.txt"
+    write_digit_file(path, word)
+    assert main(["analyze", str(path), "--lmax", "32", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "quads_profile_base4.csv").read_text().splitlines()
+    assert f"400,32,{naive_entropy(word, 32):.12g}" in rows
 
 
 def test_analyze_failing_base_writes_no_profile(tmp_path, capsys):
@@ -332,7 +344,7 @@ def test_construct_usage_error_exits_two(capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "{quads}", "--checkpoints", "0,5"],
     ["analyze", "{quads}", "--lmax", "0"],
-    ["analyze", "{quads}", "--lmax", "32"],  # 4^32 block keys overflow int64
+    ["construct", "--plan", "{plan}", "--stages", "-1"],
     ["calibrate", "--base", "2", "--samples", "5"],
     ["calibrate", "--base", "2", "--target", "1.5"],
     ["construct", "--plan", "{plan}", "--stages", "1", "--samples", "0"],
