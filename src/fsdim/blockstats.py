@@ -6,9 +6,10 @@ the final log-sum is evaluated in floating point, with natural logs
 normalized by l*ln(base) so values land in [0, 1].  Entropies H_1..H_l
 are read in batch at one prefix or at many in one call
 (:func:`prefix_entropies`).  The low-discrepancy filter reads every
-prefix's extremal counts of every block length in two rank passes
+prefix's extremal counts of every block length in one rank pass
 (:func:`_extremal_counts`).  Both key their windows through
-:func:`_window_keys`.  The streaming :class:`BlockCounter` counts digits
+:func:`_window_keys`, after :func:`_digit_array` has made the digits one
+numpy array.  The streaming :class:`BlockCounter` counts digits
 pushed one at a time.  No table of base^l slots is built: the counter
 keeps its counts in dicts and the batch readers rank window keys that
 never overflow, so any base and any length work.  Only
@@ -179,7 +180,7 @@ def prefix_entropies(
     lo, hi = int(ends.min()), int(ends.max())
     if lo < 1 or hi > len(digits):
         raise ValueError(f"prefix lengths {lo}..{hi} outside 1..{len(digits)}")
-    arr = np.asarray(digits[:hi], dtype=np.int64 if base <= 1 << 63 else object)
+    arr = _digit_array(digits[:hi], base)
     if arr.min() < 0 or arr.max() >= base:
         raise ValueError(f"digits out of range for base {base}")
     l_max = min(l_max, hi)
@@ -198,6 +199,28 @@ def prefix_entropies(
             sums[ends[reached] - 1], ends[reached] - l + 1, l, base)
         del sums  # before the next row is ranked
     return out
+
+
+def _digit_array(digits: Sequence[int], base: int, dtype=None) -> np.ndarray:
+    """digits as one numpy array, for a batch reader to read.
+
+    An ndarray is used as it is: bytes() would read its raw buffer.  Up to
+    base 256 a digit sequence goes through bytes(), one C pass into uint8
+    (about a third of np.asarray's time on 10^6 digits).  Digits bytes()
+    refuses, such as negative ones, and larger bases take np.asarray with
+    dtype, by default int64 up to base 2^63 and Python ints past it, so the
+    caller's own checks still see every digit.
+    """
+    if isinstance(digits, np.ndarray):
+        return digits
+    if base <= 256:
+        try:
+            return np.frombuffer(bytes(digits), np.uint8)
+        except (TypeError, ValueError):
+            pass
+    if dtype is None:
+        dtype = np.int64 if base <= 1 << 63 else object
+    return np.asarray(digits, dtype=dtype)
 
 
 def _increments(top: int) -> np.ndarray:
@@ -267,17 +290,43 @@ def _window_keys(digits: Sequence[int], base: int, l_max: int) -> Iterator[np.nd
         yield row[-n:]
 
 
-def _extremal_counts(digits: Sequence[int], base: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _extremal_layout(base: int, n: int, l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What _extremal_counts reads of its shape alone: (shift, cols, full).
+
+    shift (l_max, n) turns an occurrence rank r in row l into the id
+    (l - 1)(n + 1) + r of its (length, rank) group, and lifts each head
+    cell (rank 0) to rank n, a group of fewer than base^l cells.  cols
+    holds the column of each raveled cell.  full (l_max, 1) holds the
+    size at which a group has every block of its length: base^l, or n + 1,
+    which no group reaches, where base^l is larger (this also keeps it in
+    int64).  All three are read-only.
+    """
+    rows = np.arange(l_max)[:, None]
+    shift = rows * (n + 1) + n * (np.arange(n) < rows)
+    cols = np.tile(np.arange(n), l_max)
+    full = np.array([min(base**l, n + 1) for l in range(1, l_max + 1)])[:, None]
+    for a in (shift, cols, full):
+        a.flags.writeable = False
+    return shift, cols, full
+
+
+def _extremal_counts(
+    digits: Sequence[int], base: int, l_max: int,
+    layout: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """The largest and smallest count over all base^l blocks in every prefix.
 
     Row l-1, column n-1 of each (l_max, len(digits)) array holds the counts
     of length l in digits[:n], read at n >= l; the smallest is 0 while any
     block is unseen.  The largest is the running maximum of occurrence rank
-    + 1.  Ranking the (length, rank) pairs finds the windows that are the
-    base^l-th block to reach their rank, and the smallest is their running
-    number.  Head cells rank 0, which lifts no maximum past a real window's,
-    and pair with rank len(digits): a group of fewer than base^l cells of
-    its own, so they fill no level.
+    + 1.  The windows of length l and rank r are the (r+1)-th occurrences
+    of their blocks, so once base^l of them have arrived every block occurs
+    r + 1 times: the smallest count steps to r + 1 at the last window of
+    such a full group, and is the running number of those steps.  Head
+    cells rank 0, which lifts no maximum past a real window's, and form a
+    group of their own that is never full.  layout is
+    _extremal_layout(base, len(digits), l_max), passed by a caller that
+    keeps it across words.
     """
     n = len(digits)
     keys = np.empty((l_max, n), dtype=np.int64)
@@ -285,13 +334,16 @@ def _extremal_counts(digits: Sequence[int], base: int, l_max: int) -> tuple[np.n
         keys[i] = row
     ranks = _occurrence_ranks(keys.ravel()).reshape(l_max, n)
     max_counts = np.maximum.accumulate(ranks, axis=1) + 1
-    rows = np.arange(l_max)[:, None]
-    ranks[np.arange(n) < rows] = n
-    ranks += rows * (n + 1)
-    pair_ranks = _occurrence_ranks(ranks.ravel()).reshape(l_max, n)
-    # no pair ranks n or more, so a length with base^l > n fills no level
-    last = np.array([min(base**l, n + 1) - 1 for l in range(1, l_max + 1)])
-    return max_counts, np.cumsum(pair_ranks == last[:, None], axis=1)
+    shift, cols, full = layout or _extremal_layout(base, n, l_max)
+    ranks += shift
+    groups = ranks.ravel()
+    size = np.bincount(groups, minlength=l_max * (n + 1))
+    last = np.zeros_like(size)
+    np.maximum.at(last, groups, cols)  # the column of each group's latest window
+    filled = np.flatnonzero(size.reshape(l_max, n + 1) >= full)
+    steps = np.zeros(l_max * n, dtype=np.int64)
+    steps[filled // (n + 1) * n + last[filled]] = 1
+    return max_counts, np.cumsum(steps.reshape(l_max, n), axis=1)
 
 
 @dataclass(frozen=True)

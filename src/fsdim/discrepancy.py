@@ -14,11 +14,17 @@ so sample_good_string returns its first draw at such lengths untested.
 A tested word's deviations at every prefix come from one numpy pass over
 its block-count ranks (blockstats._extremal_counts), and the filter compares
 all of them at once with a threshold table that grows on demand per C.
+What depends only on a word's base and length (prefix grid, b^-l column,
+no-room mask, and the group ids and full sizes of the count pass) is built
+once per width and kept in a bounded cache.  Both caches fill on first use, not at import.
+Candidate words are drawn in bulk, with the digits successive
+rng.randrange(base) calls would give (see _uniform_words).
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import io
 import itertools
 import math
@@ -26,12 +32,12 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
 
 from fsdim.base_arith import DigitWord, atomic_write_text
-from fsdim.blockstats import _extremal_counts
+from fsdim.blockstats import _digit_array, _extremal_counts, _extremal_layout
 
 __all__ = [
     "DEFAULT_C",
@@ -182,6 +188,29 @@ def _thresholds(c: float, count: int) -> np.ndarray:
     return table[:count]
 
 
+class _WidthLayout(NamedTuple):
+    """What the filter reads of a word's base and length alone."""
+
+    l_max: int
+    grid: np.ndarray  # prefix lengths n = DEFAULT_N .. |w| - 1
+    inv: np.ndarray  # (l_max, 1): b^-l
+    no_room: np.ndarray  # (l_max, |grid|): n > |w| - l leaves no room for l
+    counts: tuple[np.ndarray, np.ndarray, np.ndarray]  # blockstats._extremal_layout
+
+
+# A step's slots and their redraws share one width, and a run's widths come
+# one after another, so a few entries serve every step.
+@functools.lru_cache(maxsize=8)
+def _width_layout(base: int, total: int) -> _WidthLayout:
+    l_max = min(total - DEFAULT_N, Z_LEN_CAP)
+    grid = np.arange(DEFAULT_N, total)
+    inv = np.array([base**-l for l in range(1, l_max + 1)])[:, None]
+    no_room = grid > total - np.arange(1, l_max + 1)[:, None]
+    for a in (grid, inv, no_room):
+        a.flags.writeable = False  # every word of this width reads them
+    return _WidthLayout(l_max, grid, inv, no_room, _extremal_layout(base, total - 1, l_max))
+
+
 def _deviation_array(word: DigitWord) -> np.ndarray:
     """dev at every prefix length n = DEFAULT_N .. |w| - 1, in one numpy pass.
 
@@ -191,20 +220,20 @@ def _deviation_array(word: DigitWord) -> np.ndarray:
     occurrence counts over all b^l blocks of length l in w_1^n.  Only the
     extremal counts can break the two-sided frequency bound.  Each cell
     takes the float operations of a per-prefix scalar loop, so every
-    value is bit-identical to one.
+    value is bit-identical to one.  The arrays that depend on the base
+    and the length alone come from _width_layout.
     """
     base, total = word.base, len(word)
     if total <= DEFAULT_N:
         raise WordTooShortError(f"word length {total} does not exceed N_{base} = {DEFAULT_N}")
-    l_max = min(total - DEFAULT_N, Z_LEN_CAP)
+    layout = _width_layout(base, total)
     # the full word (n = total) leaves no room for any block, so it is not read
-    max_counts, min_counts = _extremal_counts(word.digits[:-1], base, l_max)
-    n = np.arange(DEFAULT_N, total)
-    inv = np.array([base**-l for l in range(1, l_max + 1)])[:, None]
+    digits = _digit_array(word.digits, base)[:-1]
+    max_counts, min_counts = _extremal_counts(digits, base, layout.l_max, layout.counts)
+    n, inv = layout.grid, layout.inv
     dev = np.maximum(max_counts[:, DEFAULT_N - 1:] / n - inv,
                      inv - min_counts[:, DEFAULT_N - 1:] / n)
-    for l in range(2, l_max + 1):
-        dev[l - 1, total - l - DEFAULT_N + 1:] = -math.inf  # n > |w| - l has no room for l
+    dev[layout.no_room] = -math.inf
     return dev.max(axis=0)
 
 
@@ -234,11 +263,34 @@ def discrepancy_statistic(word: DigitWord) -> float:
 
 
 def _uniform_words(base: int, length: int, seed) -> Iterator[DigitWord]:
-    """Uniform random words of one length, drawn one after another from one seeded stream."""
-    DigitWord(base, ())  # names a bad base before randrange meets it
+    """Uniform random words of one length, drawn one after another from one seeded stream.
+
+    The digits are those of successive rng.randrange(base) calls, which
+    on CPython take one 32-bit output per getrandbits(k) call, k =
+    base.bit_length(), read as its top k bits and retried until below
+    base.  For k <= 32 one getrandbits(32 * words) call yields such
+    outputs in order, least significant word first, and numpy keeps the
+    accepted ones in a pool that each word is sliced from.  The stream's
+    Random is private to the generator, so outputs drawn ahead are never
+    drawn again.  Bases of 2^32 and up draw digit by digit.
+    """
+    DigitWord(base, ())  # names a bad base before the stream meets it
     rng = random.Random(seed)
+    k = base.bit_length()
+    if k > 32:
+        while True:
+            yield DigitWord(base, tuple(rng.randrange(base) for _ in range(length)))
+    pool = np.empty(0, dtype=np.uint32)
     while True:
-        yield DigitWord(base, tuple(rng.randrange(base) for _ in range(length)))
+        while pool.size < length:
+            need = length - pool.size
+            # about need accepted digits, and a margin that a second refill rarely follows
+            words = (need << k) // base + need // 4 + 16
+            raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            drawn = np.frombuffer(raw, dtype="<u4") >> (32 - k)
+            pool = np.concatenate((pool, drawn[drawn < base]))
+        yield DigitWord(base, tuple(pool[:length].tolist()))
+        pool = pool[length:]
 
 
 def sample_good_string(

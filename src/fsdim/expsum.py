@@ -32,6 +32,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .base_arith import Real, _expansion, _reduced, frac_of_scaled, orbit_residues
+from .blockstats import _digit_array
 from .schedule import Schedule, equivalent
 
 __all__ = [
@@ -233,7 +234,7 @@ def weyl_max_from_digits(digits: Sequence[int], base: int, t_range: int) -> floa
     if t_range < 1:
         raise ValueError(f"t_range must be positive, got {t_range}")
     taps = int(math.ceil(53.0 / math.log2(base))) + 4
-    d = np.asarray(digits, dtype=np.float64)
+    d = _digit_array(digits, base, np.float64)
     if d.size == 0:
         raise ValueError("need at least one digit")
     weights = float(base) ** -(np.arange(taps, dtype=np.float64) + 1.0)

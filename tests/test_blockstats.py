@@ -25,6 +25,7 @@ from fsdim.blockstats import (
 )
 from fsdim.constructor import _prefix_deviation
 from fsdim.discrepancy import DEFAULT_N, _extremal_deviations
+from fsdim.expsum import weyl_max_from_digits
 from test_discrepancy import _naive_extremal_deviations
 
 
@@ -307,6 +308,30 @@ def test_prefix_entropies_validation():
         prefix_entropies(digits, 1, 1, [5])
     with pytest.raises(ValueError):
         prefix_entropies((0, 2), 2, 1, [2])  # digit out of range
+
+
+def test_digit_array_reads_a_sequence_once():
+    # up to base 256 a digit tuple is read through bytes, an ndarray as it is
+    arr = blockstats._digit_array((0, 3, 255), 256)
+    assert arr.dtype == np.uint8 and arr.tolist() == [0, 3, 255]
+    given = np.array([1, 0, 1])
+    assert blockstats._digit_array(given, 2) is given
+    # digits bytes() refuses, and larger bases, take np.asarray, so the
+    # readers' range checks still see each digit as it was
+    for digits in ((0, -1), (0, 256)):
+        assert blockstats._digit_array(digits, 4).tolist() == list(digits)
+    assert blockstats._digit_array((0, 300), 2**10).dtype == np.int64
+    assert blockstats._digit_array((0, 2**70 - 1), 2**70).dtype == object
+    assert blockstats._digit_array((0, -1), 4, np.float64).dtype == np.float64
+    with pytest.raises(ValueError, match="digits out of range for base 4"):
+        prefix_entropies((0, -1, 2), 4, 1, [3])
+    # every form of the same digits reads the same bits
+    rng = random.Random(12)
+    digits = tuple(rng.randrange(4) for _ in range(400))
+    forms = (digits, list(digits), np.array(digits), np.array(digits, dtype=np.uint8))
+    ends = range(1, 401, 7)
+    assert len({prefix_entropies(d, 4, 5, ends).tobytes() for d in forms}) == 1
+    assert len({weyl_max_from_digits(d, 4, 8).hex() for d in forms}) == 1
 
 
 @pytest.mark.parametrize("base, l_max", [(2, 64), (4, 32), (2000, 6), (2**61, 2), (2**70, 2)])

@@ -1,8 +1,12 @@
 """Discrepancy: closed form vs brute force, filter behavior, calibration."""
 
 import hashlib
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,8 +23,11 @@ from fsdim.discrepancy import (
     DiscrepancyParams,
     FilterGiveUp,
     WordTooShortError,
+    _deviation_array,
     _deviation_threshold,
     _extremal_deviations,
+    _uniform_words,
+    _width_layout,
     calibrate,
     discrepancy_statistic,
     low_discrepancy_test,
@@ -128,12 +135,13 @@ def test_filter_deviations_match_golden_digest():
     assert h.hexdigest() == FILTER_DIGEST
 
 
-def _naive_extremal_deviations(word: DigitWord) -> list[tuple[int, float]]:
-    # recount every prefix's blocks as digit tuples, so no key is packed in any base
+def _naive_extremal_deviations(word: DigitWord, ns=None) -> list[tuple[int, float]]:
+    # recount every prefix's blocks as digit tuples, so no key is packed in any
+    # base; ns picks the prefix lengths to recount (default: all of them)
     base, total = word.base, len(word)
     l_max = min(total - DEFAULT_N, Z_LEN_CAP)
     out = []
-    for n in range(DEFAULT_N, total):
+    for n in ns or range(DEFAULT_N, total):
         dev = -math.inf
         for l in range(1, min(l_max, total - n) + 1):
             counts: dict[tuple[int, ...], int] = {}
@@ -178,6 +186,82 @@ def test_batch_deviations_equal_a_naive_recount(word):
     got = list(_extremal_deviations(word))
     assert [(n, dev.hex()) for n, dev in got] == [
         (n, dev.hex()) for n, dev in _naive_extremal_deviations(word)]
+
+
+# every width from the shortest tested word to the first with all Z_LEN_CAP
+# lengths, around the 64 slots of a step and the 256 of a byte, and two long ones
+_WIDTHS = [DEFAULT_N + i for i in range(1, 9)] + [69, 70, 259, 260, 261, 262, 1000, 3000]
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 5, 6, 9, 255, 256, 2000])
+def test_width_layout_keeps_every_deviation_bit(base):
+    rng = random.Random(f"layout:{base}")
+    for width in _WIDTHS:
+        word = DigitWord(base, tuple(rng.randrange(base) for _ in range(width)))
+        ns = None
+        if width >= 1000:  # a full recount is quadratic: read its ends and a sample
+            ns = sorted({*range(DEFAULT_N, DEFAULT_N + 8), *range(width - 8, width),
+                         *rng.sample(range(DEFAULT_N, width), 12)})
+        want = _naive_extremal_deviations(word, ns)
+        got = _deviation_array(word).tolist()
+        assert [(n, got[n - DEFAULT_N].hex()) for n, _ in want] == [
+            (n, dev.hex()) for n, dev in want]
+
+
+def test_width_layout_is_a_small_read_only_cache():
+    assert _width_layout.cache_info().maxsize <= 16
+    layout = _width_layout(4, 300)
+    assert layout is _width_layout(4, 300)
+    for a in (layout.grid, layout.inv, layout.no_room, *layout.counts):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+
+
+def test_interleaved_widths_get_the_verdicts_they_get_alone():
+    # more widths than the cache holds, so entries are dropped and rebuilt
+    rng = random.Random(31)
+    widths = [51, 57, 140, 300, 57, 51, 900, 140] * 3
+    words = [DigitWord(b, tuple(rng.randrange(b) for _ in range(width)))
+             for width in widths for b in (2, 4)]
+    params = params_for_tests()
+    alone = []
+    for word in words:
+        _width_layout.cache_clear()
+        alone.append((low_discrepancy_test(word, params), _deviation_array(word).tobytes()))
+    _width_layout.cache_clear()
+    interleaved = [(low_discrepancy_test(w, params), _deviation_array(w).tobytes())
+                   for w in words]
+    assert interleaved == alone
+    assert any(v for v, _ in alone) and not all(v for v, _ in alone)
+
+
+_DRAW_BASES = [*range(2, 41), 255, 256, 257, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**40]
+
+
+@pytest.mark.parametrize("length", [1, 7, 53, 342, 2000])
+def test_uniform_words_are_randrange_digit_for_digit(length):
+    # bulk draws for bit lengths up to 32 (2^32 - 1 reads every bit of an
+    # output), one randrange per digit past that
+    for base in _DRAW_BASES:
+        seed = f"draws:{base}:{length}"
+        rng = random.Random(seed)
+        want = [tuple(rng.randrange(base) for _ in range(length)) for _ in range(5)]
+        got = [w.digits for w in itertools.islice(_uniform_words(base, length, seed), 5)]
+        assert got == want, base
+
+
+def test_importing_fsdim_fills_no_filter_cache():
+    # the threshold table and the width layouts fill on first use, so that
+    # importing the package does no filter work
+    src = os.path.dirname(os.path.dirname(discrepancy.__file__))
+    probe = ("import fsdim\n"
+             "from fsdim import discrepancy as d\n"
+             "print(len(d._THRESHOLDS), d._width_layout.cache_info().currsize)\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_threshold_table_is_the_scalar_threshold(monkeypatch):
