@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fsdim import expsum
 from fsdim.expsum import (
     _FFT_DENOMINATOR_LIMIT,
     _PHASE_BLOCK,
@@ -229,13 +233,13 @@ def test_weyl_report_fft_path_matches_weyl_average():
 
 def test_orbit_spectrum_cache(monkeypatch):
     calls = []
-    real_rfft = np.fft.rfft
+    real_builder = expsum._half_spectrum
 
-    def counting_rfft(a, *args, **kwargs):
-        calls.append(len(a))
-        return real_rfft(a, *args, **kwargs)
+    def counting_builder(den, b, n):
+        calls.append(den)
+        return real_builder(den, b, n)
 
-    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    monkeypatch.setattr(expsum, "_half_spectrum", counting_builder)
     _orbit_spectrum.cache_clear()
     den = 1019
     weyl_report(Fraction(3, den), 2, 50, 700)
@@ -253,6 +257,56 @@ def test_orbit_spectrum_cache(monkeypatch):
     assert not half.flags.writeable
     with pytest.raises(ValueError):
         half[0] = 0
+
+
+@pytest.mark.parametrize("den, b, n", [
+    (11, 2, 30),  # 11 + 6 - 1 = 16 points fill the smooth length exactly
+    (15, 2, 40),  # 5 * 5 > 15
+    (1019, 2, 700),  # prime, part of a period
+    (6547, 3, 10**5),  # prime, many periods
+    (32771, 2, 10**5),
+    (2 * 32771, 2, 10**5),  # even, and shares 2 with the base
+    (12, 5, 33),  # smooth lengths take the same chirp-z path
+    (1024, 3, 1000),
+    (10**4, 3, 10**5),
+])
+def test_half_spectrum_matches_rfft(monkeypatch, den, b, n):
+    # the reference: residue counts by pow, then numpy's rfft, which the
+    # spectrum builder itself never calls
+    real_rfft = np.fft.rfft
+    counts = np.bincount([pow(b, j, den) for j in range(n)], minlength=den)
+    reference = np.conj(real_rfft(counts))
+    rfft_calls = []
+
+    def counting_rfft(a, *args, **kwargs):
+        rfft_calls.append(len(a))
+        return real_rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    half = expsum._half_spectrum(den, b, n)
+    assert rfft_calls == []
+    assert half.shape == reference.shape
+    assert np.abs(half - reference).max() <= 1e-9 * max(1, int(counts.sum()))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+def test_half_spectrum_memory_per_residue():
+    # a fresh interpreter, so the peak before the call is the import's.  It
+    # reads VmHWM, not ru_maxrss: a child's ru_maxrss starts at the peak of
+    # the process that spawned it.  numpy's rfft, whose Bluestein path this
+    # prime length takes, held 178 bytes per residue; the chirp-z path about 122
+    src = os.path.dirname(os.path.dirname(expsum.__file__))
+    probe = ("def peak_kib():\n"
+             "    with open('/proc/self/status') as fh:\n"
+             "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+             "from fsdim.expsum import _orbit_spectrum\n"
+             "before = peak_kib()\n"
+             "_orbit_spectrum(262147, 3, 262146)\n"
+             "print(peak_kib() - before)\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert int(out.stdout) * 1024 / 262147 <= 140
 
 
 def test_certificate_constants():
