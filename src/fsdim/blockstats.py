@@ -312,7 +312,7 @@ def _extremal_layout(base: int, n: int, l_max: int) -> tuple[np.ndarray, np.ndar
 
 def _extremal_counts(
     digits: Sequence[int], base: int, l_max: int,
-    layout: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    layout: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The largest and smallest count over all base^l blocks in every prefix.
 
@@ -325,8 +325,8 @@ def _extremal_counts(
     such a full group, and is the running number of those steps.  Head
     cells rank 0, which lifts no maximum past a real window's, and form a
     group of their own that is never full.  layout is
-    _extremal_layout(base, len(digits), l_max), passed by a caller that
-    keeps it across words.
+    _extremal_layout(base, len(digits), l_max), which a caller keeps
+    across words.
     """
     n = len(digits)
     keys = np.empty((l_max, n), dtype=np.int64)
@@ -334,7 +334,7 @@ def _extremal_counts(
         keys[i] = row
     ranks = _occurrence_ranks(keys.ravel()).reshape(l_max, n)
     max_counts = np.maximum.accumulate(ranks, axis=1) + 1
-    shift, cols, full = layout or _extremal_layout(base, n, l_max)
+    shift, cols, full = layout
     ranks += shift
     groups = ranks.ravel()
     size = np.bincount(groups, minlength=l_max * (n + 1))

@@ -12,11 +12,13 @@ of good words stays cheap. A word no longer than DEFAULT_N passes vacuously,
 so sample_good_string returns its first draw at such lengths untested.
 
 A tested word's deviations at every prefix come from one numpy pass over
-its block-count ranks (blockstats._extremal_counts), and the filter compares
-all of them at once with a threshold table that grows on demand per C.
-What depends only on a word's base and length (prefix grid, b^-l column,
-no-room mask, and the group ids and full sizes of the count pass) is built
-once per width and kept in a bounded cache.  Both caches fill on first use, not at import.
+its block-count ranks (blockstats._extremal_counts).  Each deviation times
+sqrt(n)/sqrt(log log n) gives the word's statistic, and the filter passes
+a word exactly when that statistic is below C_b.  What depends only on a
+word's base and length (prefix grid, b^-l column, no-room mask, that
+scale, and the group ids and full sizes of the count pass) is built once
+per width and kept in a bounded cache, which fills on first use, not at
+import.
 Candidate words are drawn in bulk, with the digits successive
 rng.randrange(base) calls would give (see _uniform_words).
 """
@@ -131,7 +133,10 @@ class DiscrepancyParams:
             for key, value in cp.items("discrepancy"):
                 if not key.startswith("C_"):
                     raise ValueError(f"unknown key {key!r}")
-                c[int(key[2:])] = float(value)
+                base = int(key[2:])
+                if base in c:  # configparser refuses a repeated key, not C_02 after C_2
+                    raise ValueError(f"key {key!r} repeats base {base}")
+                c[base] = float(value)
             return cls(c)
         except (ValueError, configparser.Error) as exc:
             raise ValueError(f"{path}: {exc}") from None
@@ -169,25 +174,6 @@ def star_discrepancy_brute(points: Iterable[Union[float, Fraction]]) -> float:
     return best
 
 
-def _deviation_threshold(c: float, n: int) -> float:
-    return c * math.sqrt(math.log(math.log(n))) / math.sqrt(n)
-
-
-# C -> _deviation_threshold(C, n) for n = DEFAULT_N, DEFAULT_N + 1, ...
-_THRESHOLDS: dict[float, np.ndarray] = {}
-
-
-def _thresholds(c: float, count: int) -> np.ndarray:
-    """The first count entries of C's threshold table, grown on demand."""
-    table = _THRESHOLDS.get(c, np.empty(0))
-    if table.size < count:
-        ns = range(DEFAULT_N + table.size, DEFAULT_N + max(count, 2 * table.size))
-        grown = np.fromiter((_deviation_threshold(c, n) for n in ns), np.float64, len(ns))
-        table = _THRESHOLDS[c] = np.concatenate((table, grown))
-        table.flags.writeable = False  # callers get views of the shared table
-    return table[:count]
-
-
 class _WidthLayout(NamedTuple):
     """What the filter reads of a word's base and length alone."""
 
@@ -195,6 +181,7 @@ class _WidthLayout(NamedTuple):
     grid: np.ndarray  # prefix lengths n = DEFAULT_N .. |w| - 1
     inv: np.ndarray  # (l_max, 1): b^-l
     no_room: np.ndarray  # (l_max, |grid|): n > |w| - l leaves no room for l
+    scale: np.ndarray  # sqrt(n) / sqrt(log log n) at every n of grid
     counts: tuple[np.ndarray, np.ndarray, np.ndarray]  # blockstats._extremal_layout
 
 
@@ -206,9 +193,13 @@ def _width_layout(base: int, total: int) -> _WidthLayout:
     grid = np.arange(DEFAULT_N, total)
     inv = np.array([base**-l for l in range(1, l_max + 1)])[:, None]
     no_room = grid > total - np.arange(1, l_max + 1)[:, None]
-    for a in (grid, inv, no_room):
+    # math, not np.log, so that each entry has the bits of the scalar formula
+    scale = np.fromiter((math.sqrt(n) / math.sqrt(math.log(math.log(n)))
+                         for n in range(DEFAULT_N, total)), np.float64, total - DEFAULT_N)
+    for a in (grid, inv, no_room, scale):
         a.flags.writeable = False  # every word of this width reads them
-    return _WidthLayout(l_max, grid, inv, no_room, _extremal_layout(base, total - 1, l_max))
+    return _WidthLayout(l_max, grid, inv, no_room, scale,
+                        _extremal_layout(base, total - 1, l_max))
 
 
 def _deviation_array(word: DigitWord) -> np.ndarray:
@@ -237,29 +228,27 @@ def _deviation_array(word: DigitWord) -> np.ndarray:
     return dev.max(axis=0)
 
 
-def _extremal_deviations(word: DigitWord) -> Iterator[tuple[int, float]]:
-    """(n, dev) for every prefix length n >= DEFAULT_N, as _deviation_array gives them."""
-    return zip(range(DEFAULT_N, len(word)), _deviation_array(word).tolist())
-
-
 def low_discrepancy_test(word: DigitWord, params: DiscrepancyParams) -> bool:
-    """Whether every block length and every prefix meet the frequency bound.
+    """Whether the word's discrepancy statistic is below C_b.
 
-    Checks |N(z, w_1^n)/n - b^-|z|| < C_b sqrt(log log n)/sqrt(n) for all
+    That is |N(z, w_1^n)/n - b^-|z|| < C_b sqrt(log log n)/sqrt(n) for all
     blocks z with 1 <= |z| <= min(|w| - DEFAULT_N, Z_LEN_CAP) and all
-    prefixes n with DEFAULT_N <= n <= |w| - |z|, comparing every prefix's
-    deviation with its threshold at once.
+    prefixes n with DEFAULT_N <= n <= |w| - |z|, each side scaled by
+    sqrt(n)/sqrt(log log n) so that one float rule decides.
     """
-    c = params.c_for(word.base)
-    dev = _deviation_array(word)
-    return not (dev >= _thresholds(c, dev.size)).any()
+    c = params.c_for(word.base)  # a missing constant is named before a short word
+    return discrepancy_statistic(word) < c
 
 
 def discrepancy_statistic(word: DigitWord) -> float:
-    """Smallest C that this word passes (sup of deviation / threshold shape)."""
+    """The largest dev * sqrt(n)/sqrt(log log n) over the word's prefixes.
+
+    The filter fails the word at every C up to its statistic and passes it
+    at every larger C.
+    """
     # max_count >= min_count makes every dev >= 0, so the sup needs no floor at 0
-    return max(dev * (math.sqrt(n) / math.sqrt(math.log(math.log(n))))
-               for n, dev in _extremal_deviations(word))
+    dev = _deviation_array(word)
+    return float((dev * _width_layout(word.base, len(word)).scale).max())
 
 
 def _uniform_words(base: int, length: int, seed) -> Iterator[DigitWord]:
@@ -322,9 +311,11 @@ def calibrate(
 ) -> float:
     """Monte-Carlo estimate of the smallest C_base with pass rate >= target.
 
-    Draws uniform words, computes each word's minimal passing C, and returns
-    the empirical target-quantile. With target 0.6 roughly 60% of fresh
-    uniform words pass at the returned constant.
+    Draws uniform words and returns the empirical target-quantile of their
+    discrepancy statistics.  The filter passes exactly the sample words
+    whose statistic is below the returned C, about target * samples of
+    them (fewer where statistics tie).  With target 0.6 roughly 60% of
+    fresh uniform words pass at the returned constant.
     """
     if not 0 < target < 1:
         raise ValueError(f"target rate must be in (0, 1), got {target}")

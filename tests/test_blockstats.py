@@ -15,6 +15,7 @@ from fsdim.base_arith import DigitWord
 from fsdim.blockstats import (
     BlockCounter,
     _extremal_counts,
+    _extremal_layout,
     _occurrence_ranks,
     _packed_key_array,
     block_entropy,
@@ -24,7 +25,7 @@ from fsdim.blockstats import (
     prefix_entropies,
 )
 from fsdim.constructor import _prefix_deviation
-from fsdim.discrepancy import DEFAULT_N, _extremal_deviations
+from fsdim.discrepancy import DEFAULT_N, _deviation_array
 from fsdim.expsum import weyl_max_from_digits
 from test_discrepancy import _naive_extremal_deviations
 
@@ -173,7 +174,8 @@ def test_batch_extremal_counts():
         base, l_max = 2 + i % 5, 1 + i % 6  # every pair of base 2-6 and l_max 1-6
         n = rng.randrange(base * 8, 320)
         word = rand_word(rng, base, n)
-        max_counts, min_counts = _extremal_counts(word.digits, base, l_max)
+        layout = _extremal_layout(base, n, l_max)
+        max_counts, min_counts = _extremal_counts(word.digits, base, l_max, layout)
         for m in range(1, n + 1):
             prefix = word.prefix(m)
             for l in range(1, min(l_max, m) + 1):
@@ -185,7 +187,8 @@ def test_batch_extremal_counts():
                     climbed.add((base, l))
         if n > DEFAULT_N:
             # the filter's deviations, read from these counts, match a recount
-            assert list(_extremal_deviations(word)) == _naive_extremal_deviations(word)
+            got = zip(range(DEFAULT_N, len(word)), _deviation_array(word).tolist())
+            assert list(got) == _naive_extremal_deviations(word)
     # the minimum leaves 0 and climbs in every base, and past l = 1 somewhere
     assert {b for b, _ in climbed} == {2, 3, 4, 5, 6}
     assert any(l > 1 for _, l in climbed)

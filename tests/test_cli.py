@@ -435,7 +435,7 @@ def test_calibrate_writes_config(tmp_path, capsys):
 
 
 def test_calibrate_base_17_writes_a_readable_config(tmp_path, capsys):
-    # the filter counts blocks in dicts, so bases past 16 calibrate too
+    # the filter ranks window keys that never overflow, so bases past 16 calibrate too
     out = tmp_path / "disc.ini"
     assert main(["calibrate", "--base", "17", "--samples", "20",
                  "--length", "400", "--out", str(out)]) == 0

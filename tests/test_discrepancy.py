@@ -24,8 +24,6 @@ from fsdim.discrepancy import (
     FilterGiveUp,
     WordTooShortError,
     _deviation_array,
-    _deviation_threshold,
-    _extremal_deviations,
     _uniform_words,
     _width_layout,
     calibrate,
@@ -129,7 +127,7 @@ def test_filter_deviations_match_golden_digest():
     words += [DigitWord(3, (0,) * 300), DigitWord(4, (0, 1, 2, 3) * 200)]
     h = hashlib.sha256()
     for w in words:
-        for n, dev in _extremal_deviations(w):
+        for n, dev in zip(range(DEFAULT_N, len(w)), _deviation_array(w).tolist()):
             h.update(f"{n},{dev.hex()}\n".encode())
         h.update(f"stat {discrepancy_statistic(w).hex()}\n".encode())
     assert h.hexdigest() == FILTER_DIGEST
@@ -163,7 +161,8 @@ def test_filter_deviations_match_a_naive_recount_in_any_base(base):
              for length in (51, 57, 140)]
     words.append(DigitWord(base, (0, 1, 1) * 40))
     for word in words:
-        assert list(_extremal_deviations(word)) == _naive_extremal_deviations(word)
+        got = zip(range(DEFAULT_N, len(word)), _deviation_array(word).tolist())
+        assert list(got) == _naive_extremal_deviations(word)
 
 
 @st.composite
@@ -183,7 +182,7 @@ def _words(draw):
 @settings(max_examples=80, deadline=None)
 @given(_words())
 def test_batch_deviations_equal_a_naive_recount(word):
-    got = list(_extremal_deviations(word))
+    got = zip(range(DEFAULT_N, len(word)), _deviation_array(word).tolist())
     assert [(n, dev.hex()) for n, dev in got] == [
         (n, dev.hex()) for n, dev in _naive_extremal_deviations(word)]
 
@@ -212,10 +211,13 @@ def test_width_layout_is_a_small_read_only_cache():
     assert _width_layout.cache_info().maxsize <= 16
     layout = _width_layout(4, 300)
     assert layout is _width_layout(4, 300)
-    for a in (layout.grid, layout.inv, layout.no_room, *layout.counts):
+    for a in (layout.grid, layout.inv, layout.no_room, layout.scale, *layout.counts):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a.flat[0] = 0
+    # the statistic's scale has the bits of the scalar formula at every n
+    assert [x.hex() for x in layout.scale.tolist()] == [
+        (math.sqrt(n) / math.sqrt(math.log(math.log(n)))).hex() for n in range(DEFAULT_N, 300)]
 
 
 def test_interleaved_widths_get_the_verdicts_they_get_alone():
@@ -252,39 +254,35 @@ def test_uniform_words_are_randrange_digit_for_digit(length):
 
 
 def test_importing_fsdim_fills_no_filter_cache():
-    # the threshold table and the width layouts fill on first use, so that
-    # importing the package does no filter work
+    # the width layouts fill on first use, so that importing the package
+    # does no filter work
     src = os.path.dirname(os.path.dirname(discrepancy.__file__))
     probe = ("import fsdim\n"
              "from fsdim import discrepancy as d\n"
-             "print(len(d._THRESHOLDS), d._width_layout.cache_info().currsize)\n")
+             "print(d._width_layout.cache_info().currsize)\n")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0"]
 
 
-def test_threshold_table_is_the_scalar_threshold(monkeypatch):
-    monkeypatch.setattr(discrepancy, "_THRESHOLDS", {})
-    ns = range(DEFAULT_N, 5001)
-    for c in DEFAULT_C.values():
-        first = discrepancy._thresholds(c, 10)
-        before = first.tolist()
-        table = discrepancy._thresholds(c, len(ns))
-        # growing the table leaves the entries already handed out as they were
-        assert first.tolist() == before == table[:10].tolist()
-        assert [t.hex() for t in table.tolist()] == [
-            _deviation_threshold(c, n).hex() for n in ns]
+def _fails_at_passes_just_above(word: DigitWord, stat: float) -> bool:
+    # the filter fails the word at C = stat and passes it one ulp above
+    at = DiscrepancyParams({word.base: stat})
+    above = DiscrepancyParams({word.base: math.nextafter(stat, math.inf)})
+    return not low_discrepancy_test(word, at) and low_discrepancy_test(word, above)
 
 
 def test_statistic_is_exact_pass_boundary():
     rng = random.Random(21)
-    word = DigitWord(2, tuple(rng.randrange(2) for _ in range(300)))
-    stat = discrepancy_statistic(word)
-    below = DiscrepancyParams({2: stat * 0.999})
-    above = DiscrepancyParams({2: stat * 1.001})
-    assert not low_discrepancy_test(word, below)
-    assert low_discrepancy_test(word, above)
+    broken = []
+    for i in range(250):
+        base = 2 + i % 5
+        word = DigitWord(base, tuple(rng.randrange(base) for _ in range(rng.randrange(60, 401))))
+        stat = discrepancy_statistic(word)
+        if stat > 0 and not _fails_at_passes_just_above(word, stat):  # C = 0 is refused
+            broken.append((base, len(word), stat.hex()))
+    assert broken == []
 
 
 def test_sample_good_string_deterministic_and_passing():
@@ -395,6 +393,7 @@ def test_constant_outside_the_filter_range_is_refused(base, c, tmp_path):
 @pytest.mark.parametrize("body, message", [
     ("C_2 = nan", "C_2 = nan"),
     ("C_2 = high", "could not convert"),
+    ("C_2 = 0.5\nC_02 = 0.9", "key 'C_02' repeats base 2"),
 ])
 def test_read_config_errors_name_the_file(body, message, tmp_path):
     path = tmp_path / "filter.cfg"
@@ -407,7 +406,7 @@ def test_read_config_errors_name_the_file(body, message, tmp_path):
 
 @pytest.mark.parametrize("base", [17, 25, 32, 2000, 2**61])
 def test_bases_of_17_and_up_are_accepted(base, tmp_path):
-    # the filter's counter keeps its counts in dicts, so no alphabet is too large
+    # the filter ranks window keys that never overflow, so no alphabet is too large
     path = tmp_path / "filter.cfg"
     path.write_text(f"[discrepancy]\nC_{base} = 0.8\n")
     for make in (lambda: DiscrepancyParams({base: 0.8}),
@@ -417,9 +416,7 @@ def test_bases_of_17_and_up_are_accepted(base, tmp_path):
     # a word long enough for every 6-block check has its statistic as pass boundary
     rng = random.Random(base)
     word = DigitWord(base, tuple(rng.randrange(base) for _ in range(400)))
-    stat = discrepancy_statistic(word)
-    assert not low_discrepancy_test(word, DiscrepancyParams({base: stat * 0.999}))
-    assert low_discrepancy_test(word, DiscrepancyParams({base: stat * 1.001}))
+    assert _fails_at_passes_just_above(word, discrepancy_statistic(word))
 
 
 @pytest.mark.parametrize("body, message", [
